@@ -16,10 +16,10 @@ OpenWPMCrawler` with the recovery behaviour a real field study needs
   OpenWPM's browser-restart semantics;
 - **per-domain circuit breaker** -- a host that keeps failing is
   skipped instead of hammered;
-- **checkpoint/resume** -- completed records are flushed to JSON at
-  site boundaries, so an interrupted crawl resumes without re-visiting
-  completed (site, visit_index) pairs, and the resumed result is
-  byte-identical to an uninterrupted run;
+- **checkpoint/resume** -- completed records are flushed at site
+  boundaries to an append-only journal, so an interrupted crawl resumes
+  without re-visiting completed (site, visit_index) pairs, and the
+  resumed result is byte-identical to an uninterrupted run;
 - **observability** -- every crawl builds a :mod:`repro.obs` span tree
   (crawl -> visit -> attempt -> WebDriver commands) with fault,
   backoff, recycle and breaker decisions as span events, plus a
@@ -30,6 +30,26 @@ Determinism is the design constraint throughout: every visit attempt
 draws from its own rng stream derived from ``(seed, rank, visit_index,
 attempt)``, so outcomes are independent of execution order and survive
 resumption.
+
+The checkpoint file is a journal of newline-separated JSON lines, so a
+flush costs what happened since the previous one, not the whole crawl:
+
+- **head** -- the first line, a full version-2 snapshot.  The first
+  flush of a fresh crawl writes it (atomically, via a temporary file);
+  a resumed crawl takes whatever snapshot is already on disk as its
+  head.
+- **segments** -- every later flush appends one line: the records and
+  finished spans (and probe-ledger entries) since the previous flush,
+  plus the constant-size state -- clock, stats, browser states,
+  metrics, the tracer's id counter and open spans.  Resume parses the
+  head and replays the segments in order.
+- **torn tail** -- an append cut short by a crash leaves a last line
+  that does not parse.  Resume drops it, and the next append truncates
+  the file back to the last whole line before writing.
+- **crawl end** -- the final flush replaces the journal with one
+  version-2 snapshot of the whole crawl, the same bytes a single full
+  rewrite produces, so the shard merge and its serial oracle read it
+  unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +57,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +87,9 @@ from repro.obs.tracer import NULL_TRACER
 #: observability state across interruptions.  The optional ``ledger``
 #: field (present only when the supervisor was built with a probe
 #: ledger) rides within version 2: default-off checkpoints are unchanged.
+#: The version lives in the journal's head, a version-2 snapshot;
+#: segments are deltas on top of it, and the crawl-end checkpoint is a
+#: plain version-2 snapshot again (see the module docstring).
 CHECKPOINT_VERSION = 2
 
 #: Sub-stream tags keeping visit and jitter draws on disjoint streams.
@@ -261,6 +284,14 @@ class CrawlSupervisor:
         self._instances: Optional[List[BrowserInstance]] = None
         self._restored_browsers: Optional[List[Dict[str, int]]] = None
         self._entry_browsers: Optional[List[Dict[str, int]]] = None
+        # Journal cursor: byte length of the intact journal on disk
+        # (``None`` until a head exists), plus what the next segment
+        # must carry -- records, spans and ledger entries since the last
+        # flush.
+        self._journal_end: Optional[int] = None
+        self._journal_records: List[VisitRecord] = []
+        self._trace_mark = None
+        self._ledger_mark = 0
         self._bind_metric_handles()
         # The deterministic event bus every crawl collaborator talks
         # over: sessions execute command events, watchdogs subscribe to
@@ -365,6 +396,7 @@ class CrawlSupervisor:
                 )
                 records.append(record)
                 completed[key] = record
+                self._journal_records.append(record)
                 self.stats.visits += 1
                 if record.reached:
                     self.stats.reached += 1
@@ -373,7 +405,10 @@ class CrawlSupervisor:
             if site_was_fresh and path is not None:
                 fresh_sites += 1
                 if fresh_sites >= config.checkpoint_every_sites:
-                    self._write_checkpoint(path, records)
+                    if self._journal_end is None:
+                        self._write_checkpoint(path, records)
+                    else:
+                        self._append_segment(path)
                     fresh_sites = 0
         # Reconcile the result-facing counters from the records actually
         # emitted: a resumed crawl over a shrunk or reordered population
@@ -669,9 +704,13 @@ class CrawlSupervisor:
         self, path: Optional[Path]
     ) -> Dict[Tuple[str, int], VisitRecord]:
         completed: Dict[Tuple[str, int], VisitRecord] = {}
+        self._journal_end = None
+        self._journal_records = []
         if path is None or not path.exists():
+            self._mark_journal()
             return completed
-        data = json.loads(path.read_text())
+        head, segments, self._journal_end = _parse_journal(path.read_bytes())
+        data = json.loads(head)
         if data.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version in {path}")
         if (
@@ -682,6 +721,7 @@ class CrawlSupervisor:
             raise ValueError(
                 f"checkpoint {path} belongs to a different crawl configuration"
             )
+        latest = self._replay_journal(data, segments)
         for record_data in data["records"]:
             record = VisitRecord.from_dict(record_data)
             completed[(record.domain, record.visit_index)] = record
@@ -689,41 +729,72 @@ class CrawlSupervisor:
         # and any collaborator wired before resume hold *references* to
         # this clock; rebinding a fresh VirtualClock here would leave
         # them all ticking a stale timeline.
-        behind = float(data.get("clock_ms", 0.0)) - self.clock.now()
+        behind = float(latest.get("clock_ms", 0.0)) - self.clock.now()
         if behind < 0:
             raise ValueError(
                 f"checkpoint {path} is older than this supervisor's clock; "
                 "resume with a fresh supervisor"
             )
         self.clock.advance(behind)
-        self._restored_browsers = data.get("browsers")
-        stats = data.get("stats")
+        self._restored_browsers = latest.get("browsers")
+        stats = latest.get("stats")
         if stats is not None:
             self.stats = SupervisorStats(**stats)
         self.stats.resumed = len(completed)
-        trace_state = data.get("trace")
-        if trace_state is not None:
-            self.tracer.load_state(trace_state)
-        metrics_state = data.get("metrics")
+        metrics_state = latest.get("metrics")
         if metrics_state is not None:
             self.metrics.load_state(metrics_state)
             self._bind_metric_handles()
-        ledger_state = data.get("ledger")
-        if ledger_state is not None and self.ledger is not None:
-            self.ledger.load_state(ledger_state)
+        self._mark_journal()
         return completed
 
-    def _write_checkpoint(self, path: Path, records: List[VisitRecord]) -> None:
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "crawler_name": self.crawler.name,
-            "seed": self.crawler.seed,
-            "instances": self.crawler.instances,
+    def _replay_journal(
+        self, head: Dict[str, Any], segments: List[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """Restore the tracer and ledger from the head plus every
+        segment, and fold the segments' records into ``head``.
+
+        Returns the line holding the latest constant-size state (clock,
+        stats, browsers, metrics): the last segment, or the head.
+        """
+        ledger = self.ledger
+        if head.get("trace") is not None:
+            self.tracer.load_state(head["trace"])
+        if ledger is not None and head.get("ledger") is not None:
+            ledger.load_state(head["ledger"])
+        for segment in segments:
+            head["records"].extend(segment["records"])
+            if segment["trace"] is not None:
+                self.tracer.extend_state(segment["trace"])
+            if ledger is not None and segment.get("ledger") is not None:
+                ledger.extend_state(segment["ledger"])
+        return segments[-1] if segments else head
+
+    def _mark_journal(self) -> None:
+        """Start the next segment here: nothing since is on disk yet."""
+        self._journal_records = []
+        self._trace_mark = self.tracer.mark()
+        self._ledger_mark = len(self.ledger) if self.ledger is not None else 0
+
+    def _state_fields(self) -> Dict[str, Any]:
+        """The constant-size state every head and segment carries."""
+        return {
             "clock_ms": self.clock.now(),
             "stats": asdict(self.stats),
             "browsers": [
                 instance.state_dict() for instance in self._instances or []
             ],
+        }
+
+    def _write_checkpoint(self, path: Path, records: List[VisitRecord]) -> None:
+        """Replace the journal with one full snapshot: the head of a fresh
+        crawl's journal, and the crawl-end checkpoint."""
+        payload = {
+            "version": CHECKPOINT_VERSION,
+            "crawler_name": self.crawler.name,
+            "seed": self.crawler.seed,
+            "instances": self.crawler.instances,
+            **self._state_fields(),
             "trace": self.tracer.state_dict(),
             "metrics": self.metrics.state_dict(),
             "records": [r.to_dict() for r in records],
@@ -732,9 +803,55 @@ class CrawlSupervisor:
         # checkpoints stay byte-identical to pre-ledger ones.
         if self.ledger is not None:
             payload["ledger"] = self.ledger.state_dict()
+        text = json.dumps(payload)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
+        tmp.write_text(text)
         tmp.replace(path)
+        self._journal_end = len(text)
+        self._mark_journal()
+
+    def _append_segment(self, path: Path) -> None:
+        """Append what changed since the last flush as one journal line."""
+        segment = {
+            **self._state_fields(),
+            "trace": self.tracer.state_since(self._trace_mark),
+            "metrics": self.metrics.state_dict(),
+            "records": [r.to_dict() for r in self._journal_records],
+        }
+        if self.ledger is not None:
+            segment["ledger"] = self.ledger.state_since(self._ledger_mark)
+        line = ("\n" + json.dumps(segment)).encode("ascii")
+        with open(path, "ab") as handle:
+            # Cut a torn tail an interrupted append left behind.
+            handle.truncate(self._journal_end)
+            handle.write(line)
+        self._journal_end += len(line)
+        self._mark_journal()
+
+
+def _parse_journal(raw: bytes) -> Tuple[bytes, List[Dict[str, Any]], int]:
+    """Split checkpoint-journal bytes into the head line and the parsed
+    segments.
+
+    Returns ``(head, segments, end)`` where ``end`` is the byte length of
+    the intact journal.  A last line that does not parse is a torn
+    append and is dropped; an unparsable line anywhere else is
+    corruption.
+    """
+    head, *lines = raw.split(b"\n")
+    segments: List[Dict[str, Any]] = []
+    end = len(head)
+    for number, line in enumerate(lines, start=1):
+        try:
+            segments.append(json.loads(line))
+        except ValueError:
+            if number == len(lines):
+                break
+            raise ValueError(
+                f"checkpoint journal is corrupt at line {number + 1}"
+            ) from None
+        end += 1 + len(line)
+    return head, segments, end
 
 
 def visit_coverage(

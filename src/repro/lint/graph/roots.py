@@ -10,8 +10,11 @@ artefacts whose byte-identity the project guarantees:
     them), and every bus-subscribed handler (watchdogs and browser
     command handlers run inside the visit dispatch path).
 ``checkpoint``
-    ``state_dict`` / ``load_state`` / ``_write_checkpoint`` /
-    ``_load_checkpoint`` -- anything feeding the resume contract.
+    ``state_dict`` / ``load_state`` and the journal deltas
+    ``state_since`` / ``extend_state``, plus the supervisor's
+    ``_write_checkpoint`` / ``_append_segment`` (journal writers) and
+    ``_load_checkpoint`` / ``_replay_journal`` (resume) -- anything
+    feeding the resume contract.
 ``trace``
     ``write_trace`` / ``write_ledger`` / ``export_trace`` -- the
     observability exports diffed across runs.
@@ -38,7 +41,16 @@ _VISIT_FUNCTIONS = frozenset(
 _VISIT_CLASS_SUFFIX = "Supervisor"
 _VISIT_METHODS = frozenset({"crawl", "crawl_shard"})
 _CHECKPOINT_FUNCTIONS = frozenset(
-    {"state_dict", "load_state", "_write_checkpoint", "_load_checkpoint"}
+    {
+        "state_dict",
+        "load_state",
+        "state_since",
+        "extend_state",
+        "_write_checkpoint",
+        "_append_segment",
+        "_load_checkpoint",
+        "_replay_journal",
+    }
 )
 _TRACE_FUNCTIONS = frozenset({"write_trace", "write_ledger", "export_trace"})
 

@@ -232,19 +232,30 @@ class ProbeLedger:
     # -- serialisation ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
+        return self.state_since(0)
+
+    def state_since(self, start: int) -> Dict[str, Any]:
+        """:meth:`state_dict` holding only the entries recorded since
+        ``start`` (= an earlier ``len(self)``): a checkpoint-journal
+        delta.  Entries never change once recorded."""
         return {
             "next_id": self._next_id,
             "scopes": list(self._scope_stack),
-            "entries": [entry.to_dict() for entry in self._entries],
+            "entries": [entry.to_dict() for entry in self._entries[start:]],
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        self._next_id = int(state.get("next_id", 1))
-        self._scope_stack = [str(s) for s in state.get("scopes", [])]
+        self._entries = []
+        self.extend_state(state)
+
+    def extend_state(self, delta: Dict[str, Any]) -> None:
+        """Apply a :meth:`state_since` delta on top of the current state."""
+        self._next_id = int(delta.get("next_id", 1))
+        self._scope_stack = [str(s) for s in delta.get("scopes", [])]
         self._scope_str = "/".join(self._scope_stack)
-        self._entries = [
-            LedgerEntry.from_dict(data) for data in state.get("entries", [])
-        ]
+        self._entries.extend(
+            LedgerEntry.from_dict(data) for data in delta.get("entries", [])
+        )
 
 
 # -- canonical JSONL export ---------------------------------------------------

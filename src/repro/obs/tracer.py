@@ -8,7 +8,9 @@ Design constraints, in order:
    traces.
 2. **Resumability** -- :meth:`Tracer.state_dict` /
    :meth:`Tracer.load_state` round-trip the full tracer (finished spans,
-   the open-span stack, the id counter), and
+   the open-span stack, the id counter), :meth:`Tracer.state_since` /
+   :meth:`Tracer.extend_state` carry only what changed since a
+   :meth:`Tracer.mark` (the checkpoint journal's segments), and
    :meth:`Tracer.resume_or_start` re-enters a checkpointed root span, so
    an interrupted-then-resumed crawl's trace equals an uninterrupted
    one's.
@@ -24,8 +26,10 @@ it, or the tracer would keep stamping spans from a stale timeline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import VirtualClock
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -168,6 +172,48 @@ class Tracer:
         self._stack = [by_id[span_id] for span_id in state["open"]]
         self._next_id = int(state["next_id"])
 
+    def mark(self) -> Tuple[int, Tuple[Span, ...]]:
+        """A cursor for :meth:`state_since`: span count and open stack."""
+        return len(self._spans), tuple(self._stack)
+
+    def state_since(self, mark: Tuple[int, Tuple[Span, ...]]) -> Dict[str, Any]:
+        """What changed since ``mark``, as one checkpoint-journal delta.
+
+        Carries the spans finished since then (started after the mark,
+        or open at it and closed since), the open stack in full --
+        during a crawl just the root span -- and the id counter.  A
+        finished span never changes again, so :meth:`extend_state`
+        rebuilds the full state from a snapshot plus these deltas.
+        """
+        count, was_open = mark
+        done = [span for span in was_open if not span.open]
+        done += [span for span in self._spans[count:] if not span.open]
+        return {
+            "next_id": self._next_id,
+            "open": [span.to_dict() for span in self._stack],
+            "spans": [span.to_dict() for span in done],
+        }
+
+    def extend_state(self, delta: Dict[str, Any]) -> None:
+        """Apply a :meth:`state_since` delta on top of the current state."""
+        spans = self._spans
+
+        def index_of(span_id: int) -> int:
+            index = bisect_left(spans, span_id, key=attrgetter("span_id"))
+            if index == len(spans) or spans[index].span_id != span_id:
+                raise ValueError(f"delta names unknown span {span_id}")
+            return index
+
+        changed = sorted(delta["spans"] + delta["open"], key=itemgetter("span_id"))
+        for data in changed:
+            span = Span.from_dict(data)
+            if spans and span.span_id <= spans[-1].span_id:
+                spans[index_of(span.span_id)] = span
+            else:
+                spans.append(span)
+        self._stack = [spans[index_of(data["span_id"])] for data in delta["open"]]
+        self._next_id = int(delta["next_id"])
+
 
 class NullTracer:
     """Inert tracer: records nothing, costs one attribute check.
@@ -211,6 +257,15 @@ class NullTracer:
         return None
 
     def load_state(self, state: Any) -> None:
+        return None
+
+    def mark(self) -> None:
+        return None
+
+    def state_since(self, mark: Any) -> None:
+        return None
+
+    def extend_state(self, delta: Any) -> None:
         return None
 
 

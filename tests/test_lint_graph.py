@@ -455,6 +455,26 @@ class TestXdetRules:
         )
         assert "XDET103" not in ids
 
+    @pytest.mark.parametrize("root", ["_append_segment", "_replay_journal"])
+    def test_xdet101_checkpoint_journal_reaches_wall_clock(self, root):
+        ids = project_rule_ids(
+            {
+                "app/clockio.py": """
+                import time
+
+                def stamp():
+                    return time.time()
+                """,
+                "app/journal.py": f"""
+                from app.clockio import stamp
+
+                def {root}(path):
+                    return stamp()
+                """,
+            }
+        )
+        assert "XDET101" in ids
+
     def test_supervisor_crawl_is_a_visit_root(self):
         ids = project_rule_ids(
             {

@@ -118,6 +118,46 @@ class TestSpans:
         other.end(other.open_spans[-1])
         assert other.spans[1].end_ms == 7.0
 
+    def test_deltas_rebuild_the_full_state(self):
+        """Snapshot + ``state_since`` deltas == ``state_dict``, including a
+        span open at one mark and closed before the next."""
+        clock = VirtualClock()
+        tracer = Tracer(clock)
+        root = tracer.start("crawl")
+        outer = tracer.start("study")
+        snapshot = json.loads(json.dumps(tracer.state_dict()))
+        mark = tracer.mark()
+        deltas = []
+        for _ in range(3):
+            clock.advance(2.0)
+            with tracer.span("visit"):
+                tracer.event("fault")
+            deltas.append(json.loads(json.dumps(tracer.state_since(mark))))
+            mark = tracer.mark()
+        tracer.end(outer)
+        tracer.start("tail")
+        deltas.append(json.loads(json.dumps(tracer.state_since(mark))))
+        assert [d["span_id"] for d in deltas[-1]["spans"]] == [outer.span_id]
+        rebuilt = Tracer(VirtualClock())
+        rebuilt.load_state(snapshot)
+        for delta in deltas:
+            rebuilt.extend_state(delta)
+        assert rebuilt.state_dict() == tracer.state_dict()
+        assert [s.span_id for s in rebuilt.open_spans] == [root.span_id, 6]
+
+    def test_delta_naming_an_unknown_span_is_rejected(self):
+        tracer = Tracer(VirtualClock())
+        tracer.start("crawl")
+        mark = tracer.mark()
+        tracer.end(tracer.start("visit"))
+        tracer.start("visit")
+        state = tracer.state_dict()
+        delta = tracer.state_since(mark)
+        gapped = Tracer(VirtualClock())
+        gapped.load_state(dict(state, spans=state["spans"][::2]))
+        with pytest.raises(ValueError):
+            gapped.extend_state(delta)
+
     def test_resume_or_start_reopens_closed_root(self):
         clock = VirtualClock()
         tracer = Tracer(clock)

@@ -150,6 +150,22 @@ class TestProbeLedger:
 # -- jsobject hook points --------------------------------------------------
 
 
+    def test_state_since_deltas_rebuild_the_ledger(self):
+        ledger = ProbeLedger()
+        ledger.record("get", "navigator", key="webdriver")
+        snapshot = json.loads(json.dumps(ledger.state_dict()))
+        start = len(ledger)
+        with ledger.scope("detector.probe:x"):
+            ledger.record("ownKeys", "navigator")
+            delta = json.loads(json.dumps(ledger.state_since(start)))
+            expected = json.loads(json.dumps(ledger.state_dict()))
+        assert len(delta["entries"]) == 1
+        rebuilt = ProbeLedger()
+        rebuilt.load_state(snapshot)
+        rebuilt.extend_state(delta)
+        assert rebuilt.state_dict() == expected
+
+
 class TestJSObjectHooks:
     def instrumented(self):
         ledger = ProbeLedger()

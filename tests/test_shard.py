@@ -7,10 +7,13 @@ worker counts and shard sizes, and under interrupt-then-resume at every
 shard boundary.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+
+import repro.crawl.supervisor as supervisor_module
 
 from repro.crawl import (
     PopulationConfig,
@@ -34,7 +37,7 @@ from repro.shard import (
     shard_paths,
 )
 from repro.shard.cli import main as shard_main
-from repro.shard.worker import WATCHDOGS_NONE
+from repro.shard.worker import WATCHDOGS_NONE, ShardTask, run_shard
 
 
 def small_population(n=32, seed=3):
@@ -437,6 +440,83 @@ class TestInterruptResume:
         run_sharded(out, max_shards=1)
         with pytest.raises(ManifestError):
             run_sharded(out, shard_size=5)
+
+
+class Crash(BaseException):
+    """A worker killed mid-shard: nothing catches it."""
+
+
+class TestFreshRerun:
+    """A ``fresh=True`` re-run must not replay a checkpoint journal
+    recorded under a stale entry state."""
+
+    def task(self, out_dir, entry_states, fresh):
+        shard = plan_shards(POPULATION, 7, seed=7).shards[1]
+        return ShardTask(
+            spec=make_spec(),
+            index=shard.index,
+            sites=tuple(shard.sites),
+            out_dir=str(out_dir),
+            entry_states=tuple(entry_states),
+            fresh=fresh,
+        )
+
+    def stale_journal(self, out_dir, monkeypatch):
+        """Kill a run under a stale entry state after its second flush."""
+        stale = [{"fault_count": 1, "recycles": 2}] * 3
+        real = supervisor_module.simulate_visit
+        flushes = []
+        append = supervisor_module.CrawlSupervisor._append_segment
+
+        def visit(*args, **kwargs):
+            if flushes:
+                raise Crash
+            return real(*args, **kwargs)
+
+        def append_then_crash(self, path):
+            append(self, path)
+            flushes.append(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(supervisor_module, "simulate_visit", visit)
+            patch.setattr(
+                supervisor_module.CrawlSupervisor,
+                "_append_segment",
+                append_then_crash,
+            )
+            with pytest.raises(Crash):
+                run_shard(self.task(out_dir, stale, fresh=False))
+        checkpoint = shard_paths(out_dir, 1).checkpoint.read_bytes()
+        assert checkpoint.count(b"\n") == 1  # a head and one segment
+
+    def test_fresh_task_discards_stale_segments(self, tmp_path, monkeypatch):
+        states = fresh_browser_states(3)
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        run_shard(self.task(clean, states, fresh=False))
+        rerun = tmp_path / "rerun"
+        rerun.mkdir()
+        self.stale_journal(rerun, monkeypatch)
+        run_shard(self.task(rerun, states, fresh=True))
+        for name in ("checkpoint", "trace", "ledger"):
+            clean_path = getattr(shard_paths(clean, 1), name)
+            assert clean_path.read_bytes() == (
+                getattr(shard_paths(rerun, 1), name).read_bytes()
+            ), name
+
+    def test_resumed_task_replays_the_segments(self, tmp_path, monkeypatch):
+        """The control: without ``fresh`` the stale journal is resumed."""
+        states = fresh_browser_states(3)
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        run_shard(self.task(clean, states, fresh=False))
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        self.stale_journal(resumed, monkeypatch)
+        run_shard(self.task(resumed, states, fresh=False))
+        assert shard_paths(clean, 1).checkpoint.read_bytes() != (
+            shard_paths(resumed, 1).checkpoint.read_bytes()
+        )
 
 
 class TestObsDirectorySupport:

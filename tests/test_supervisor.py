@@ -1,8 +1,14 @@
 """The resilient crawl supervisor: retries, recycling, checkpoint/resume."""
 
+import builtins
+import hashlib
+import io
+import itertools
 import json
 
 import pytest
+
+import repro.crawl.supervisor as supervisor_module
 
 from repro.crawl import (
     CrawlSupervisor,
@@ -17,6 +23,7 @@ from repro.crawl import (
     visit_coverage,
 )
 from repro.faults import BackoffPolicy, FaultPlan, FaultType
+from repro.crawl.supervisor import _parse_journal
 from repro.spoofing import SpoofingExtension
 
 
@@ -195,6 +202,210 @@ class TestCheckpointResume:
         assert len(data["trace"]["spans"]) == len(sup.tracer.spans)
         assert data["metrics"] == sup.metrics.state_dict()
         assert len(data["browsers"]) == 4
+
+
+class Crash(BaseException):
+    """A process kill in the middle of a crawl: nothing catches it."""
+
+
+def crash_after(monkeypatch, calls):
+    """Make the ``calls + 1``-th visit attempt kill the crawl."""
+    real = supervisor_module.simulate_visit
+    counter = itertools.count(1)
+
+    def visit(*args, **kwargs):
+        if next(counter) > calls:
+            raise Crash
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor_module, "simulate_visit", visit)
+
+
+def count_attempts(monkeypatch):
+    """Count visit attempts (``simulate_visit`` calls) into a list."""
+    real = supervisor_module.simulate_visit
+    seen = []
+
+    def visit(*args, **kwargs):
+        seen.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor_module, "simulate_visit", visit)
+    return seen
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestJournal:
+    """The checkpoint journal: head snapshot, appended segments, torn tails.
+
+    Every resume is compared with one uninterrupted crawl by the sha256
+    of its records, its metrics and its exported trace.
+    """
+
+    POPULATION = small_population(n=12)
+
+    def fresh(self):
+        plan = FaultPlan.generate(self.POPULATION, 2, rate=0.25, seed=5)
+        config = SupervisorConfig(checkpoint_every_sites=1)
+        return make_supervisor(plan, config=config, instances=2)
+
+    def digests(self, supervisor, result, trace_path):
+        return (
+            sha256(json.dumps(result.to_dict()).encode()),
+            sha256(
+                json.dumps(supervisor.metrics.state_dict(), sort_keys=True).encode()
+            ),
+            sha256(trace_path.read_bytes()),
+        )
+
+    def resume(self, checkpoint, trace_path):
+        supervisor = self.fresh()
+        result = supervisor.crawl(
+            self.POPULATION, checkpoint_path=checkpoint, trace_path=trace_path
+        )
+        return self.digests(supervisor, result, trace_path)
+
+    def crash(self, monkeypatch, checkpoint, calls):
+        with monkeypatch.context() as patch:
+            crash_after(patch, calls)
+            with pytest.raises(Crash):
+                self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+
+    @pytest.fixture
+    def expected(self, tmp_path, monkeypatch):
+        """The uninterrupted crawl's digests; sets ``self.attempts``."""
+        trace_path = tmp_path / "full.jsonl"
+        supervisor = self.fresh()
+        with monkeypatch.context() as patch:
+            attempts = count_attempts(patch)
+            result = supervisor.crawl(self.POPULATION, trace_path=trace_path)
+        self.attempts = len(attempts)
+        return self.digests(supervisor, result, trace_path)
+
+    def journal(self, tmp_path, monkeypatch, calls):
+        """The journal a crawl killed before attempt ``calls + 1`` leaves."""
+        checkpoint = tmp_path / "journal.json"
+        self.crash(monkeypatch, checkpoint, calls)
+        data = checkpoint.read_bytes()
+        head, segments, end = _parse_journal(data)
+        assert end == len(data) and len(segments) >= 2
+        return data, head
+
+    def test_interrupt_anywhere_mid_population(self, tmp_path, monkeypatch, expected):
+        """Kill the crawl before every visit attempt -- right after each
+        flush and between flushes alike -- then resume."""
+        most_segments = 0
+        for calls in range(self.attempts):
+            checkpoint = tmp_path / f"ck{calls}.json"
+            self.crash(monkeypatch, checkpoint, calls)
+            if checkpoint.exists():
+                segments = _parse_journal(checkpoint.read_bytes())[1]
+                most_segments = max(most_segments, len(segments))
+            resumed = self.resume(checkpoint, tmp_path / f"resumed{calls}.jsonl")
+            assert resumed == expected, f"interrupted before attempt {calls + 1}"
+        assert most_segments >= len(self.POPULATION) - 2
+
+    def test_truncation_at_every_byte_offset(self, tmp_path, monkeypatch, expected):
+        """Every truncation after the head reads as the whole segments
+        before the cut; resuming from each kind of cut matches."""
+        data, head = self.journal(tmp_path, monkeypatch, self.attempts // 4)
+        boundaries = [len(head)]
+        for line in data[len(head) + 1:].split(b"\n"):
+            boundaries.append(boundaries[-1] + 1 + len(line))
+        resume_at = set(boundaries)
+        for start, stop in zip(boundaries, boundaries[1:]):
+            # torn right after the newline, mid-line, one byte short
+            resume_at.update({start + 1, (start + stop) // 2, stop - 1})
+        truncated = tmp_path / "truncated.json"
+        for offset in range(len(head), len(data) + 1):
+            _, segments, end = _parse_journal(data[:offset])
+            intact = max(b for b in boundaries if b <= offset)
+            assert end == intact, f"offset {offset}"
+            assert len(segments) == boundaries.index(intact), f"offset {offset}"
+            if offset in resume_at:
+                truncated.write_bytes(data[:offset])
+                resumed = self.resume(truncated, tmp_path / "resumed.jsonl")
+                assert resumed == expected, f"offset {offset}"
+
+    def test_torn_tail_is_cut_before_the_next_append(
+        self, tmp_path, monkeypatch, expected
+    ):
+        """Resume from a torn tail, crash again, resume again: the torn
+        fragment must never be glued onto the next segment."""
+        data, head = self.journal(tmp_path, monkeypatch, self.attempts // 2)
+        last = data.rindex(b"\n")
+        checkpoint = tmp_path / "ck.json"
+        for offset in (last + 1, (last + len(data)) // 2, len(data) - 1):
+            checkpoint.write_bytes(data[:offset])
+            # Enough attempts to redo the lost site and append for it.
+            self.crash(monkeypatch, checkpoint, 8)
+            journal = checkpoint.read_bytes()
+            _, segments, end = _parse_journal(journal)
+            assert end == len(journal), f"torn at {offset}: fragment kept"
+            assert journal.startswith(data[:last] + b"\n{")
+            assert len(segments) >= data.count(b"\n")
+            assert self.resume(checkpoint, tmp_path / "again.jsonl") == expected
+
+    def test_corrupt_line_before_the_tail_is_rejected(
+        self, tmp_path, monkeypatch, expected
+    ):
+        data, head = self.journal(tmp_path, monkeypatch, self.attempts // 2)
+        first = len(head) + 1
+        checkpoint = tmp_path / "corrupt.json"
+        checkpoint.write_bytes(data[:first] + b"#" + data[first + 1:])
+        with pytest.raises(ValueError):
+            self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+
+    def test_crawl_end_rewrites_the_journal_as_one_snapshot(self, tmp_path):
+        checkpoint = tmp_path / "crawl.json"
+        self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+        assert b"\n" not in checkpoint.read_bytes()
+        assert json.loads(checkpoint.read_text())["version"] == 2
+
+    def test_persistence_bytes_grow_linearly(self, tmp_path, monkeypatch):
+        """Bytes written before the crawl-end snapshot at 2N sites are at
+        most 2.2x those at N sites (a full rewrite per flush gives ~4x)."""
+        written = [0]
+        real_open = io.open
+
+        class Counted:
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                written[0] += len(data)
+                return self.raw.write(data)
+
+            def __enter__(self):
+                self.raw.__enter__()
+                return self
+
+            def __exit__(self, *exc):
+                return self.raw.__exit__(*exc)
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            raw = real_open(file, mode, *args, **kwargs)
+            return Counted(raw) if set(mode) & set("wax+") else raw
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        population = small_population(n=48)
+        before_end = []
+        for sites in (24, 48):
+            checkpoint = tmp_path / f"crawl{sites}.json"
+            written[0] = 0
+            make_supervisor(
+                config=SupervisorConfig(checkpoint_every_sites=2), instances=2
+            ).crawl(population[:sites], checkpoint_path=checkpoint)
+            before_end.append(written[0] - checkpoint.stat().st_size)
+        assert before_end[0] > 0
+        assert before_end[1] <= 2.2 * before_end[0], before_end
 
 
 class TestFailureTaxonomy:
