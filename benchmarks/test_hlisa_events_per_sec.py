@@ -1,6 +1,6 @@
 """Human-motor event generation throughput: scalar loops vs numpy kernels.
 
-Measures events/s for the HLISA motor hot path at three depths and
+Measures events/s for the HLISA motor hot path at two depths and
 records them under the ``hlisa_motor`` key of ``BENCH_hlisa.json``
 (read-merge-write, same pattern as ``BENCH_crawl.json``; CI uploads the
 file):
@@ -10,11 +10,13 @@ file):
   vs the memoised easing grid + ``at_array``.  This is the loop the PR
   vectorised; the >= 5x target is asserted here.
 - **generation**: full plan generation (pointing paths, HLISA paths,
-  typing plans, scroll cadences) against the byte-identical scalar
-  golden references.  RNG draws and list assembly are shared costs, so
-  the end-to-end ratio is smaller; it is recorded, and must stay > 1.
-- **dispatch**: ``InputPipeline.dispatch_batch`` vs the per-point
-  ``clock.advance`` + ``move_mouse_to`` loop, driving a real DOM rig.
+  typing plans) against the byte-identical scalar golden references.
+  RNG draws and list assembly are shared costs, so the end-to-end ratio
+  is smaller; it is recorded, and must stay > 1.
+
+Scroll cadences and trajectory dispatch are no longer measured here:
+each now has a single implementation, so there is no second side to
+compare.
 
 Throughput is wall-clock dependent; the byte-identity contract is what
 the tier-1 suite asserts (``tests/test_motor_equivalence.py``).
@@ -28,17 +30,12 @@ import numpy as np
 
 from conftest import print_table
 
-from repro.browser.input_pipeline import InputPipeline
-from repro.browser.window import Window
-from repro.dom.document import Document
-from repro.geometry import Box, Point
+from repro.geometry import Point
 from repro.humans.pointing import HumanPointing
 from repro.humans.profile import HumanProfile
-from repro.humans.scrolling import HumanScrolling
 from repro.models.bezier import BezierTrajectory, _eased_grid, hlisa_path
 from repro.models.scalar_reference import (
     ScalarHumanPointing,
-    ScalarHumanScrolling,
     ScalarTypingRhythm,
     scalar_hlisa_path,
 )
@@ -149,59 +146,11 @@ def _generation_workloads():
 
         return run
 
-    def scrolling(cls):
-        def run():
-            return len(cls(profile, np.random.default_rng(1)).plan(3000.0))
-
-        return run
-
     return {
         "pointing": (pointing(ScalarHumanPointing), pointing(HumanPointing)),
         "hlisa_path": (hlisa(scalar_hlisa_path), hlisa(hlisa_path)),
         "typing": (typing(ScalarTypingRhythm), typing(TypingRhythm)),
-        "scrolling": (scrolling(ScalarHumanScrolling), scrolling(HumanScrolling)),
     }
-
-
-# -- dispatch: batched pipeline delivery ---------------------------------------
-
-
-def _make_rig():
-    document = Document(1366.0, 2000.0)
-    document.create_element("button", Box(100.0, 100.0, 200.0, 80.0), id="b1")
-    document.create_element("a", Box(600.0, 300.0, 150.0, 40.0), id="l1")
-    window = Window(document)
-    return window, InputPipeline(window)
-
-
-def _dispatch_rates(reps=150):
-    path = HumanPointing(rng=np.random.default_rng(17)).path(
-        Point(10.0, 10.0), Point(650.0, 320.0)
-    )
-    moves = []
-    previous = 0.0
-    for t, point in path:
-        moves.append((max(t - previous, 0.0), point))
-        previous = t
-
-    def loop():
-        window, pipeline = _make_rig()
-        before = pipeline.events_dispatched
-        for advance_ms, point in moves:
-            window.clock.advance(advance_ms)
-            pipeline.move_mouse_to(point.x, point.y)
-        pipeline.move_mouse_to(moves[-1][1].x, moves[-1][1].y, force_event=True)
-        return pipeline.events_dispatched - before
-
-    def batch():
-        _, pipeline = _make_rig()
-        before = pipeline.events_dispatched
-        pipeline.dispatch_batch(moves, repeat_final_forced=True)
-        return pipeline.events_dispatched - before
-
-    loop_rate, _ = _rate(loop, reps, warmup=10)
-    batch_rate, _ = _rate(batch, reps, warmup=10)
-    return loop_rate, batch_rate
 
 
 def test_hlisa_motor_events_per_sec():
@@ -219,8 +168,6 @@ def test_hlisa_motor_events_per_sec():
             "speedup": round(fast_rate / slow_rate, 2),
         }
 
-    loop_rate, batch_rate = _dispatch_rates()
-
     _merge_bench(
         {
             "hlisa_motor": {
@@ -231,11 +178,6 @@ def test_hlisa_motor_events_per_sec():
                     "target_speedup": KERNEL_SPEEDUP_TARGET,
                 },
                 "generation": generation,
-                "dispatch": {
-                    "loop_events_per_s": round(loop_rate),
-                    "batch_events_per_s": round(batch_rate),
-                    "speedup": round(batch_rate / loop_rate, 2),
-                },
             }
         }
     )
@@ -250,11 +192,7 @@ def test_hlisa_motor_events_per_sec():
             f"vector {v['vectorized_events_per_s']:12,.0f}  x{v['speedup']:5.2f}"
             for name, v in generation.items()
         ]
-        + [
-            f"dispatch   loop   {loop_rate:12,.0f}  batch  {batch_rate:12,.0f}  "
-            f"x{batch_rate / loop_rate:5.2f}",
-            f"wrote {BENCH_PATH}",
-        ],
+        + [f"wrote {BENCH_PATH}"],
     )
 
     assert kernel_speedup >= KERNEL_SPEEDUP_TARGET, (
@@ -262,7 +200,7 @@ def test_hlisa_motor_events_per_sec():
         f"loop (target {KERNEL_SPEEDUP_TARGET}x)"
     )
     # End-to-end generation shares RNG draws and list assembly between the
-    # two formulations (scroll plans are mostly scalar sweep/finger draws),
-    # so the ratios are modest and noisy; guard against regression only.
+    # two formulations, so the ratios are modest and noisy; guard against
+    # regression only.
     for name, entry in generation.items():
         assert entry["speedup"] > 0.8, f"{name}: vectorized plan generation regressed"

@@ -197,14 +197,11 @@ class InputPipeline:
         force_last: bool = False,
         repeat_final_forced: bool = False,
     ) -> int:
-        """Advance the clock and move the pointer along ``moves`` in one pass.
+        """Advance the clock and move the pointer along ``moves``.
 
         ``moves`` is an iterable of ``(advance_ms, point)`` pairs: the clock
-        advance *before* the cursor reaches ``point``.  The event stream is
-        byte-identical to the equivalent per-point loop of
-        ``clock.advance(advance_ms)`` + :meth:`move_mouse_to` -- the batch
-        exists so trajectory walks pay the hover hit-test and coalescing
-        check once per sample without the per-call attribute traffic.
+        advance *before* the cursor reaches ``point``.  Each pair is one
+        ``clock.advance(advance_ms)`` + :meth:`move_mouse_to`.
 
         ``force_last`` forces the final sample's mousemove through the rate
         limiter (the WebDriver pointer-move contract).  ``repeat_final_forced``
@@ -215,46 +212,14 @@ class InputPipeline:
         Returns the number of mousemove events dispatched.
         """
         moves = list(moves)
-        if not moves:
-            return 0
-        window = self.window
-        clock = window.clock
-        advance = clock.advance
-        now_fn = clock.now
-        client_to_page = window.client_to_page
-        element_at = window.document.element_at
-        min_interval = self.mousemove_min_interval_ms
+        advance = self.window.clock.advance
         dispatched = 0
-        last_index = len(moves) - 1
-        for index, (advance_ms, point) in enumerate(moves):
+        for index, (advance_ms, point) in enumerate(moves, start=1):
             advance(advance_ms)
-            self.pointer = Point(float(point.x), float(point.y))
-            previous = self._hovered
-            current = element_at(client_to_page(self.pointer))
-            if previous is not current:
-                if previous is not None:
-                    previous.dispatch_event(self._base_event("mouseout", previous))
-                    previous.dispatch_event(self._base_event("mouseleave", previous))
-                current.dispatch_event(self._base_event("mouseover", current))
-                current.dispatch_event(self._base_event("mouseenter", current))
-                self._hovered = current
-            if self._drag_source is not None or self._drag_armed_at is not None:
-                # _progress_drag is a no-op unless a drag is armed or
-                # active; skipping the call in the common case keeps the
-                # hot loop to the hit test plus the coalescing check.
-                self._progress_drag(current)
-            now = now_fn()
-            if (
-                not (force_last and index == last_index)
-                and self._last_mousemove_ts is not None
-                and now - self._last_mousemove_ts < min_interval
-            ):
-                continue
-            self._last_mousemove_ts = now
-            current.dispatch_event(self._base_event("pointermove", current))
-            current.dispatch_event(self._base_event("mousemove", current))
-            dispatched += 1
-        if repeat_final_forced:
+            force = force_last and index == len(moves)
+            if self.move_mouse_to(point.x, point.y, force_event=force) is not None:
+                dispatched += 1
+        if repeat_final_forced and moves:
             final = moves[-1][1]
             if self.move_mouse_to(final.x, final.y, force_event=True) is not None:
                 dispatched += 1

@@ -789,25 +789,17 @@ class CrawlSupervisor:
     def _write_checkpoint(self, path: Path, records: List[VisitRecord]) -> None:
         """Replace the journal with one full snapshot: the head of a fresh
         crawl's journal, and the crawl-end checkpoint."""
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "crawler_name": self.crawler.name,
-            "seed": self.crawler.seed,
-            "instances": self.crawler.instances,
+        self._journal_end = write_snapshot(
+            path,
+            crawler_name=self.crawler.name,
+            seed=self.crawler.seed,
+            instances=self.crawler.instances,
             **self._state_fields(),
-            "trace": self.tracer.state_dict(),
-            "metrics": self.metrics.state_dict(),
-            "records": [r.to_dict() for r in records],
-        }
-        # Only a ledger-enabled supervisor writes the key: default-off
-        # checkpoints stay byte-identical to pre-ledger ones.
-        if self.ledger is not None:
-            payload["ledger"] = self.ledger.state_dict()
-        text = json.dumps(payload)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
-        self._journal_end = len(text)
+            trace=self.tracer.state_dict(),
+            metrics=self.metrics.state_dict(),
+            records=[r.to_dict() for r in records],
+            ledger=self.ledger.state_dict() if self.ledger is not None else None,
+        )
         self._mark_journal()
 
     def _append_segment(self, path: Path) -> None:
@@ -827,6 +819,50 @@ class CrawlSupervisor:
             handle.write(line)
         self._journal_end += len(line)
         self._mark_journal()
+
+
+def write_snapshot(
+    path: Path,
+    *,
+    crawler_name: str,
+    seed: int,
+    instances: int,
+    clock_ms: float,
+    stats: Dict[str, Any],
+    browsers: List[Dict[str, int]],
+    trace: Dict[str, Any],
+    metrics: Dict[str, Any],
+    records: List[Dict[str, Any]],
+    ledger: Optional[Dict[str, Any]] = None,
+) -> int:
+    """Atomically write one version-2 checkpoint snapshot (tmp + replace)
+    and return its length.
+
+    The dump is deliberately unsorted: key order is part of the format,
+    so the serial supervisor and the shard merge, which both write
+    snapshots through here, produce byte-comparable files.  ``ledger``
+    is written only when given: default-off checkpoints stay
+    byte-identical to pre-ledger ones.
+    """
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "crawler_name": crawler_name,
+        "seed": seed,
+        "instances": instances,
+        "clock_ms": clock_ms,
+        "stats": stats,
+        "browsers": browsers,
+        "trace": trace,
+        "metrics": metrics,
+        "records": records,
+    }
+    if ledger is not None:
+        payload["ledger"] = ledger
+    text = json.dumps(payload)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+    return len(text)
 
 
 def _parse_journal(raw: bytes) -> Tuple[bytes, List[Dict[str, Any]], int]:

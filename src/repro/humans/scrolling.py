@@ -7,6 +7,10 @@ from top to bottom at a comfortable pace".  The signature (Section 4.1):
 - consecutive ticks are separated by short, normally-distributed pauses;
 - every few ticks the finger returns to the top of the wheel, causing a
   noticeably longer break.
+
+Wheel plans are drawn one tick at a time (batching the tick pauses
+measured 0.86-1.43x and was dropped); the scrollbar drag is generated
+array-at-once against its scalar reference.
 """
 
 from __future__ import annotations
@@ -31,30 +35,29 @@ class HumanScrolling:
         """Wheel ticks that cover ``distance_px`` (sign = direction).
 
         The last tick may overshoot the distance by part of a tick, as a
-        real wheel would.  Tick pauses are realised one batched draw per
-        wheel sweep, preserving the scalar draw order (sweep length, tick
-        pauses, finger pause, ...) byte-for-byte.
+        real wheel would.
         """
-        from repro.models.scroll_cadence import count_wheel_ticks
-
         profile = self.profile
         if distance_px == 0:
             return []
         direction = 1.0 if distance_px > 0 else -1.0
         delta = direction * profile.wheel_tick_px
-        total = count_wheel_ticks(abs(distance_px), profile.wheel_tick_px)
         pauses: List[float] = []
-        sweep_length = self._sweep_length()
-        group = min(sweep_length, total)
-        pauses.append(0.0)
-        pauses.extend(self._tick_pauses(group - 1))
-        emitted = group
-        while emitted < total:
-            pauses.append(self._finger_pause())
-            sweep_length = self._sweep_length()
-            group = min(sweep_length, total - emitted)
-            pauses.extend(self._tick_pauses(group - 1))
-            emitted += group
+        remaining = abs(distance_px)
+        sweep = self._sweep_length()
+        in_sweep = 0
+        while remaining > 0:
+            if not pauses:
+                pause = 0.0
+            elif in_sweep == sweep:
+                pause = self._finger_pause()
+                sweep = self._sweep_length()
+                in_sweep = 0
+            else:
+                pause = self._tick_pause()
+            pauses.append(pause)
+            in_sweep += 1
+            remaining -= profile.wheel_tick_px
         return [(pause, delta) for pause in pauses]
 
     def _tick_pause(self) -> float:
@@ -62,17 +65,6 @@ class HumanScrolling:
             self.profile.scroll_tick_pause_mean_ms, self.profile.scroll_tick_pause_sd_ms
         )
         return float(max(value, 15.0))
-
-    def _tick_pauses(self, count: int) -> List[float]:
-        """``count`` inter-tick pauses as one stream-preserving batch."""
-        if count <= 0:
-            return []
-        draws = self.rng.normal(
-            self.profile.scroll_tick_pause_mean_ms,
-            self.profile.scroll_tick_pause_sd_ms,
-            size=count,
-        )
-        return np.maximum(draws, 15.0).tolist()
 
     def _finger_pause(self) -> float:
         """The longer break while the finger moves back on the wheel."""

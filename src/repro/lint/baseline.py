@@ -20,6 +20,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List
 
+from repro.canonical import canonical_dumps_pretty
 from repro.lint.findings import Finding
 
 BASELINE_VERSION = 1
@@ -113,6 +114,6 @@ class Baseline:
             entries[f.fingerprint] = entry
         payload = {"version": BASELINE_VERSION, "findings": entries}
         path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            canonical_dumps_pretty(payload) + "\n",
             encoding="utf-8",
         )

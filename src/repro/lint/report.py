@@ -7,9 +7,9 @@ tree -- serial or parallel -- render byte-identical output.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
+from repro.canonical import canonical_dumps_pretty
 from repro.lint.context import scope_components
 from repro.lint.findings import Finding
 from repro.lint.registry import rules_by_family
@@ -48,7 +48,7 @@ def render_json(report: LintReport) -> str:
         "baselined": [f.to_dict() for f in report.baselined],
         "suppressed": report.suppressed,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return canonical_dumps_pretty(payload) + "\n"
 
 
 def _sarif_level(severity: str) -> str:
@@ -114,7 +114,7 @@ def render_sarif(report: LintReport) -> str:
             }
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return canonical_dumps_pretty(payload) + "\n"
 
 
 def _scope_label(rule) -> str:

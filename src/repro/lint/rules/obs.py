@@ -1,14 +1,13 @@
-"""OBS0xx: observability-export invariants.
+"""OBS0xx: observability invariants.
 
-The obs layer's whole value rests on byte-stable exports: traces,
-ledgers and reports are diffed (and CI-asserted) across runs, so any
-JSON serialisation in ``src/repro/obs/`` that omits ``sort_keys=True``
-silently reintroduces dict-order dependence -- the exact class of
-nondeterminism the layer exists to rule out (OBS001).  A second
-invariant is span-end discipline: a ``tracer.start(...)`` whose span
-is not closed on *every* exit path leaves the tracer's LIFO stack
-wedged -- every later ``end`` raises, and the exported trace carries a
-phantom open span whose duration reads zero (OBS002).
+Span-end discipline: a ``tracer.start(...)`` whose span is not closed
+on *every* exit path leaves the tracer's LIFO stack wedged -- every
+later ``end`` raises, and the exported trace carries a phantom open
+span whose duration reads zero (OBS002).
+
+OBS001 (unsorted ``json.dump(s)`` in the obs layer) is retired: every
+canonical export goes through :mod:`repro.canonical`, so there is no
+hand-built call left to police.
 """
 
 from __future__ import annotations
@@ -19,51 +18,6 @@ from typing import Iterator
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
-
-_JSON_WRITERS = frozenset({"json.dump", "json.dumps"})
-
-
-def _sort_keys_is_true(call: ast.Call) -> bool:
-    for keyword in call.keywords:
-        if keyword.arg == "sort_keys":
-            return (
-                isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            )
-        if keyword.arg is None:
-            # **kwargs may carry sort_keys; give it the benefit of the
-            # doubt rather than flag spuriously.
-            return True
-    return False
-
-
-@register
-class CanonicalJsonExportRule(Rule):
-    id = "OBS001"
-    name = "non-canonical-json-export"
-    family = "obs"
-    scope = "obs"
-    rationale = (
-        "Exports from the obs layer are compared byte-for-byte across "
-        "runs; a json.dump(s) call without sort_keys=True makes the "
-        "output depend on dict insertion order."
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if ctx.dotted_name(node.func) not in _JSON_WRITERS:
-                continue
-            if not _sort_keys_is_true(node):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "json serialisation in the obs layer must pass "
-                    "sort_keys=True (and canonical separators for "
-                    "machine-diffed output) to stay byte-stable",
-                )
-
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _NESTED_SCOPE_NODES = _SCOPE_NODES + (ast.Lambda, ast.ClassDef)

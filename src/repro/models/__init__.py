@@ -43,7 +43,6 @@ from repro.models.scalar_reference import (
     ScalarHumanPointing,
     ScalarHumanScrolling,
     ScalarLognormalTypingRhythm,
-    ScalarScrollCadence,
     ScalarTypingRhythm,
     scalar_hlisa_path,
     scalar_naive_bezier_path,
@@ -68,7 +67,6 @@ __all__ = [
     "ScalarHumanPointing",
     "ScalarHumanScrolling",
     "ScalarLognormalTypingRhythm",
-    "ScalarScrollCadence",
     "ScalarTypingRhythm",
     "scalar_hlisa_path",
     "scalar_naive_bezier_path",

@@ -13,6 +13,7 @@ import dataclasses
 import json
 from typing import Any, Dict, Optional, Type, TypeVar
 
+from repro.canonical import canonical_dumps_pretty
 from repro.humans.profile import HumanProfile
 from repro.models.bezier import TrajectoryParams
 from repro.models.clicks import ClickParams
@@ -68,7 +69,7 @@ def dumps_params(
             f.name: _to_plain(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return canonical_dumps_pretty(payload)
 
 
 def loads_params(payload: str) -> Dict[str, Any]:

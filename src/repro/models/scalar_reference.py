@@ -1,13 +1,15 @@
 """Scalar golden references for the vectorised motor kernels.
 
 The hot paths in :mod:`repro.humans.pointing`, :mod:`repro.models.bezier`,
-:mod:`repro.models.typing_rhythm` and :mod:`repro.models.scroll_cadence`
-generate paths, typing plans and scroll cadences array-at-once.  This
-module keeps the per-point/per-draw formulation of each generator --
-identical distributions, identical RNG draw order, identical arithmetic
-expression shapes -- so the equivalence tests can assert that same-seed
-output is byte-identical, and the benchmark can measure the speedup of
-the batched kernels over the loops they replaced.
+:mod:`repro.models.typing_rhythm` and the scrollbar drag of
+:mod:`repro.humans.scrolling` generate paths, typing plans and drag
+plans array-at-once.  This module keeps the per-point/per-draw
+formulation of each generator -- identical distributions, identical RNG
+draw order, identical arithmetic expression shapes -- so the equivalence
+tests can assert that same-seed output is byte-identical, and the
+benchmark can measure the speedup of the batched kernels over the loops
+they replaced.  Wheel-scroll plans have no reference here: they are
+generated per tick in the first place.
 
 Two rules make byte-identity achievable rather than approximate:
 
@@ -42,7 +44,7 @@ from repro.humans.pointing import (
     _smoothed_noise,
     minimum_jerk_profile,
 )
-from repro.humans.scrolling import HumanScrolling, ScrollTick
+from repro.humans.scrolling import HumanScrolling
 from repro.models.bezier import (
     BezierTrajectory,
     TimedPoint,
@@ -50,7 +52,6 @@ from repro.models.bezier import (
     _ease_min_jerk,
 )
 from repro.models.refinements import LognormalTypingRhythm
-from repro.models.scroll_cadence import ScrollCadence
 from repro.models.typing_rhythm import PLAIN, SHIFT, KeyEvent, TypingRhythm
 
 
@@ -223,64 +224,8 @@ class ScalarLognormalTypingRhythm(ScalarTypingRhythm):
     _normal = LognormalTypingRhythm._normal
 
 
-class ScalarScrollCadence(ScrollCadence):
-    """:class:`ScrollCadence` drawing one pause per tick."""
-
-    def plan(self, distance_px: float) -> List[ScrollTick]:
-        p = self.params
-        if distance_px == 0:
-            return []
-        direction = 1.0 if distance_px > 0 else -1.0
-        delta = direction * p.wheel_tick_px
-        pauses: List[float] = []
-        remaining = abs(distance_px)
-        sweep = self._sweep_length()
-        in_sweep = 0
-        while remaining > 0:
-            if not pauses:
-                pause = 0.0
-            elif in_sweep == sweep:
-                pause = float(
-                    max(self.rng.normal(p.finger_pause_mean_ms, p.finger_pause_sd_ms), 100.0)
-                )
-                sweep = self._sweep_length()
-                in_sweep = 0
-            else:
-                pause = float(
-                    max(self.rng.normal(p.tick_pause_mean_ms, p.tick_pause_sd_ms), 12.0)
-                )
-            pauses.append(pause)
-            in_sweep += 1
-            remaining -= p.wheel_tick_px
-        return [(pause, delta) for pause in pauses]
-
-
 class ScalarHumanScrolling(HumanScrolling):
-    """:class:`HumanScrolling` with per-tick draws and a per-frame drag loop."""
-
-    def plan(self, distance_px: float) -> List[ScrollTick]:
-        profile = self.profile
-        if distance_px == 0:
-            return []
-        direction = 1.0 if distance_px > 0 else -1.0
-        delta = direction * profile.wheel_tick_px
-        pauses: List[float] = []
-        remaining = abs(distance_px)
-        sweep = self._sweep_length()
-        in_sweep = 0
-        while remaining > 0:
-            if not pauses:
-                pause = 0.0
-            elif in_sweep == sweep:
-                pause = self._finger_pause()
-                sweep = self._sweep_length()
-                in_sweep = 0
-            else:
-                pause = self._tick_pause()
-            pauses.append(pause)
-            in_sweep += 1
-            remaining -= profile.wheel_tick_px
-        return [(pause, delta) for pause in pauses]
+    """:class:`HumanScrolling` with a per-frame scrollbar-drag loop."""
 
     def plan_scrollbar_drag(
         self,

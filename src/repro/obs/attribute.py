@@ -21,18 +21,16 @@ a self-contained Table 1 ledger and on a spoofed-vs-vanilla crawl pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.canonical import canonical_dumps, canonical_dumps_pretty
 from repro.obs.probes import (
     PROBE_SCOPE_PREFIX,
     REFERENCE_LABEL_PREFIX,
     LedgerEntry,
     ProbeLedger,
 )
-
-_SEPARATORS = (",", ":")
 
 #: Scope-component prefix the grouping keys on.
 METHOD_GROUP_PREFIX = "method:"
@@ -169,7 +167,7 @@ class AttributionReport:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return canonical_dumps_pretty(self.to_dict())
 
     def render_text(self) -> str:
         lines = ["Probe-ledger attribution (Table 1 reconstruction)"]
@@ -212,7 +210,7 @@ def _culprit_line(culprit: Culprit) -> str:
 
 
 def _fmt(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=_SEPARATORS)
+    return canonical_dumps(value)
 
 
 # -- building the attribution -------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-_SEPARATORS = (",", ":")
+from repro.canonical import canonical_dumps, canonical_dumps_pretty
 
 #: The benchmark files the gate knows about, in check order.
 DEFAULT_BENCH_FILES: Tuple[str, ...] = (
@@ -178,10 +178,7 @@ def append_history(
             )
     with history_path.open("a") as fh:
         for record in records:
-            fh.write(
-                json.dumps(record, sort_keys=True, separators=_SEPARATORS)
-                + "\n"
-            )
+            fh.write(canonical_dumps(record) + "\n")
     return records
 
 
@@ -247,7 +244,7 @@ class BenchCheckResult:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_dumps_pretty(self.to_dict()) + "\n"
 
     def render_text(self) -> str:
         lines = [

@@ -36,11 +36,11 @@ file supplies a vanilla baseline when the ledger has no in-file
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.canonical import canonical_dumps_pretty
 from repro.obs.attribute import build_attribution
 from repro.obs.bench import (
     DEFAULT_BENCH_FILES,
@@ -293,7 +293,7 @@ def _run_report(args: argparse.Namespace) -> int:
         if args.profile:
             data = report.to_dict()
             data["profile"] = build_profile(spans)
-            rendered = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            rendered = canonical_dumps_pretty(data) + "\n"
     else:
         rendered = report.render_text()
         if args.profile:
@@ -405,7 +405,7 @@ def _run_diff(args: argparse.Namespace) -> int:
         if args.format == "json":
             data = result.to_dict()
             data["profile_delta"] = deltas
-            rendered = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            rendered = canonical_dumps_pretty(data) + "\n"
         else:
             rendered += "\n" + render_delta_text(deltas, top=args.limit)
     _emit(rendered, args.out)

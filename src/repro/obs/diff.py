@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-_SEPARATORS = (",", ":")
+from repro.canonical import canonical_dumps, canonical_dumps_pretty
 
 #: id key per export kind; doubles as the kind detector.
 _ID_KEYS = {"trace": "span_id", "ledger": "entry_id"}
@@ -87,7 +87,7 @@ class ExportDiff:
     # -- rendering -------------------------------------------------------
 
     def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return canonical_dumps_pretty(self.to_dict())
 
     def render_text(self, limit: int = 20) -> str:
         """A unified-diff-flavoured summary; ``limit`` caps the per-
@@ -130,7 +130,7 @@ def _overflow(items: List[Any], limit: int) -> List[str]:
 
 
 def _fmt(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=_SEPARATORS)
+    return canonical_dumps(value)
 
 
 # -- loading ------------------------------------------------------------------

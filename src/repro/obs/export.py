@@ -13,9 +13,8 @@ import json
 from pathlib import Path
 from typing import Iterable, List, Union
 
+from repro.canonical import canonical_dumps
 from repro.obs.span import Span
-
-_SEPARATORS = (",", ":")
 
 
 def span_to_json(span: Span, dual: bool = False) -> str:
@@ -27,7 +26,7 @@ def span_to_json(span: Span, dual: bool = False) -> str:
     noise, so everything byte-compared across runs uses the default.
     """
     data = span.to_dict_dual() if dual else span.to_dict()
-    return json.dumps(data, sort_keys=True, separators=_SEPARATORS)
+    return canonical_dumps(data)
 
 
 def trace_to_jsonl(spans: Iterable[Span], dual: bool = False) -> str:

@@ -16,13 +16,11 @@ shares a boundary timestamp with its parent.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Union
 
+from repro.canonical import canonical_dumps
 from repro.obs.span import Span
-
-_SEPARATORS = (",", ":")
 
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
@@ -104,12 +102,7 @@ def write_speedscope(
     """Write a speedscope JSON file; returns the path written."""
     path = Path(path)
     path.write_text(
-        json.dumps(
-            speedscope_document(spans, name=name),
-            sort_keys=True,
-            separators=_SEPARATORS,
-        )
-        + "\n"
+        canonical_dumps(speedscope_document(spans, name=name)) + "\n"
     )
     return path
 
@@ -143,11 +136,6 @@ def write_chrome_trace(
     """Write a chrome-trace JSON file; returns the path written."""
     path = Path(path)
     path.write_text(
-        json.dumps(
-            chrome_trace_document(spans),
-            sort_keys=True,
-            separators=_SEPARATORS,
-        )
-        + "\n"
+        canonical_dumps(chrome_trace_document(spans)) + "\n"
     )
     return path

@@ -15,7 +15,7 @@ Determinism contract (same as the span tracer):
 - entry ids are sequential in record order;
 - timestamps come from a :class:`~repro.clock.VirtualClock`, never the
   wall clock;
-- the JSONL export is canonical (``sort_keys``, fixed separators), so
+- the JSONL export is canonical (:mod:`repro.canonical`), so
   two same-seed runs -- or an interrupted-and-resumed run and its
   uninterrupted twin -- write byte-identical ledgers.
 
@@ -32,12 +32,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.canonical import canonical_dumps
 from repro.clock import VirtualClock
 from repro.jsobject.functions import JSFunction, NativeAccessor
 from repro.jsobject.jsobject import JSObject
 from repro.jsobject.proxy import JSProxy
-
-_SEPARATORS = (",", ":")
 
 #: Scope-label prefix marking one detector probe's accesses; the
 #: attribution tooling keys on it.
@@ -263,7 +262,7 @@ class ProbeLedger:
 
 def entry_to_json(entry: LedgerEntry) -> str:
     """One entry as a canonical single-line JSON object."""
-    return json.dumps(entry.to_dict(), sort_keys=True, separators=_SEPARATORS)
+    return canonical_dumps(entry.to_dict())
 
 
 def ledger_to_jsonl(entries: Iterable[LedgerEntry]) -> str:

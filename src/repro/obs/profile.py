@@ -25,15 +25,13 @@ attribution against measured wall cost.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.canonical import canonical_dumps
 from repro.obs.report import SPAN_VISIT
 from repro.obs.span import Span
-
-_SEPARATORS = (",", ":")
 
 #: Bumped when the canonical profile layout changes.
 PROFILE_SCHEMA = "repro.obs.profile/1"
@@ -192,9 +190,7 @@ def profile_to_json(profile: Dict[str, Any], include_wall: bool = False) -> str:
     data = profile if include_wall else {
         key: value for key, value in profile.items() if key != "wall"
     }
-    return (
-        json.dumps(data, sort_keys=True, separators=_SEPARATORS) + "\n"
-    )
+    return canonical_dumps(data) + "\n"
 
 
 def write_profile(

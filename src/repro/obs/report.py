@@ -11,12 +11,12 @@ any machine without the original crawl objects.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.canonical import canonical_dumps_pretty
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, Histogram
 from repro.obs.span import Span
 
@@ -194,7 +194,7 @@ class CrawlReport:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_dumps_pretty(self.to_dict()) + "\n"
 
     def render_text(self) -> str:
         lines = ["crawl report", "============"]

@@ -35,7 +35,7 @@ entry-state fixpoint).
 
 from repro.shard.executor import ShardedCrawlOutcome, run_sharded_crawl
 from repro.shard.manifest import ManifestError, ShardManifest
-from repro.shard.merge import MergedArtifacts, merge_shards, write_canonical_json
+from repro.shard.merge import MergedArtifacts, merge_shards
 from repro.shard.plan import Shard, ShardPlan, plan_shards, population_digest
 from repro.shard.state import (
     FaultLogEntry,
@@ -71,7 +71,6 @@ __all__ = [
     "ManifestError",
     "MergedArtifacts",
     "merge_shards",
-    "write_canonical_json",
     "ShardedCrawlOutcome",
     "run_sharded_crawl",
 ]

@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from repro.canonical import canonical_dumps
 from repro.crawl.population import (
     PopulationConfig,
     SiteConfig,
@@ -29,7 +30,6 @@ from repro.crawl.population import (
 )
 from repro.faults.plan import FaultPlan
 from repro.shard.executor import run_sharded_crawl
-from repro.shard.merge import write_canonical_json
 from repro.shard.worker import (
     WATCHDOGS_DEFAULT,
     WATCHDOGS_NONE,
@@ -152,12 +152,11 @@ def _verify(
         trace_path=out_dir / "serial.trace.jsonl",
         ledger_path=out_dir / "serial.ledger.jsonl" if spec.ledger else None,
     )
-    write_canonical_json(
-        out_dir / "serial.metrics.json", supervisor.metrics.state_dict()
+    (out_dir / "serial.metrics.json").write_text(
+        canonical_dumps(supervisor.metrics.state_dict()) + "\n"
     )
-    write_canonical_json(
-        out_dir / "serial.records.json",
-        [record.to_dict() for record in result.records],
+    (out_dir / "serial.records.json").write_text(
+        canonical_dumps([record.to_dict() for record in result.records]) + "\n"
     )
 
     pairs: List[Tuple[str, str]] = [

@@ -21,11 +21,14 @@ discipline.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.canonical import canonical_dumps
+from repro.faults.plan import FaultPlan
 from repro.shard.plan import ShardPlan
 from repro.shard.state import FaultLogEntry
 from repro.shard.worker import ShardRunSpec
@@ -38,12 +41,25 @@ class ManifestError(ValueError):
     """Raised when a manifest cannot serve the requested run."""
 
 
+def schedule_digest(plan: FaultPlan) -> str:
+    """sha256 of the plan's schedule, sorted by (domain, visit).
+
+    The schedule is not a function of (seed, rate) alone: the fault
+    types and ``max_attempts_affected`` a plan was generated with change
+    it too, so the fingerprint pins the schedule itself.
+    """
+    entries = sorted(
+        [s.domain, s.visit_index, s.fault_type.value, s.attempts_affected]
+        for s in plan.schedule.values()
+    )
+    return hashlib.sha256(canonical_dumps(entries).encode()).hexdigest()
+
+
 def spec_fingerprint(spec: ShardRunSpec) -> Dict[str, Any]:
     """The JSON-safe identity of a run spec.
 
-    The fault plan is summarised (seed, rate, size): the schedule is
-    seed-derived, so the summary pins it without serialising every
-    entry.
+    The fault plan is summarised by its seed, rate and
+    :func:`schedule_digest`, which pins every entry without storing it.
     """
     plan = spec.fault_plan
     return {
@@ -55,7 +71,11 @@ def spec_fingerprint(spec: ShardRunSpec) -> Dict[str, Any]:
         "fault_plan": (
             None
             if plan is None
-            else {"seed": plan.seed, "rate": plan.rate, "size": len(plan)}
+            else {
+                "seed": plan.seed,
+                "rate": plan.rate,
+                "schedule": schedule_digest(plan),
+            }
         ),
         "ledger": spec.ledger,
         "watchdogs": spec.watchdogs,
@@ -145,5 +165,5 @@ class ShardManifest:
     def save(self) -> None:
         """Atomically persist the manifest."""
         tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(self.data, sort_keys=True, indent=1))
+        tmp.write_text(canonical_dumps(self.data))
         tmp.replace(self.path)

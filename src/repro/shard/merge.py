@@ -26,8 +26,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.canonical import canonical_dumps
 from repro.crawl.crawler import CrawlResult
-from repro.crawl.supervisor import CHECKPOINT_VERSION, SupervisorStats
+from repro.crawl.supervisor import SupervisorStats, write_snapshot
 from repro.crawl.visit import VisitRecord
 from repro.obs.export import trace_to_jsonl
 from repro.obs.merge import (
@@ -41,8 +42,6 @@ from repro.obs.probes import LedgerEntry, ledger_to_jsonl
 from repro.obs.span import Span
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import ShardRunSpec, shard_paths
-
-_SEPARATORS = (",", ":")
 
 #: Work counters summed across shards verbatim (result counters --
 #: visits/reached/failed/resumed -- are reconciled from records).
@@ -65,15 +64,6 @@ class MergedArtifacts:
     metrics: Path
     records: Path
     ledger: Optional[Path]
-
-
-def write_canonical_json(path: Union[str, Path], payload: Any) -> Path:
-    """Byte-stable JSON: sorted keys, minimal separators, one newline."""
-    path = Path(path)
-    path.write_text(
-        json.dumps(payload, sort_keys=True, separators=_SEPARATORS) + "\n"
-    )
-    return path
 
 
 def _exact_sum(values: Sequence[float]) -> float:
@@ -135,6 +125,7 @@ def merge_shards(
     stats.resumed = 0
 
     merged_ledger: Optional[List[LedgerEntry]] = None
+    ledger_state: Optional[Dict[str, Any]] = None
     if spec.ledger:
         merged_ledger = merge_ledger_entries(
             [
@@ -146,45 +137,37 @@ def merge_shards(
             ],
             durations,
         )
-
-    checkpoint_payload: Dict[str, Any] = {
-        "version": CHECKPOINT_VERSION,
-        "crawler_name": spec.crawler_name,
-        "seed": spec.seed,
-        "instances": spec.instances,
-        "clock_ms": clock_ms,
-        "stats": asdict(stats),
-        "browsers": [dict(state) for state in browser_states],
-        "trace": {
-            "next_id": len(merged_spans) + 1,
-            "open": [],
-            "spans": [span.to_dict() for span in merged_spans],
-        },
-        "metrics": metrics_state,
-        "records": record_dicts,
-    }
-    if merged_ledger is not None:
-        checkpoint_payload["ledger"] = {
+        ledger_state = {
             "next_id": len(merged_ledger) + 1,
             "scopes": [],
             "entries": [entry.to_dict() for entry in merged_ledger],
         }
 
     checkpoint_path = out_dir / "crawl.ckpt.json"
-    # Same non-canonical dumps the serial supervisor uses, so the two
-    # checkpoint files are byte-comparable.
-    tmp = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
-    tmp.write_text(json.dumps(checkpoint_payload))
-    tmp.replace(checkpoint_path)
+    write_snapshot(
+        checkpoint_path,
+        crawler_name=spec.crawler_name,
+        seed=spec.seed,
+        instances=spec.instances,
+        clock_ms=clock_ms,
+        stats=asdict(stats),
+        browsers=[dict(state) for state in browser_states],
+        trace={
+            "next_id": len(merged_spans) + 1,
+            "open": [],
+            "spans": [span.to_dict() for span in merged_spans],
+        },
+        metrics=metrics_state,
+        records=record_dicts,
+        ledger=ledger_state,
+    )
 
     trace_path = out_dir / "crawl.trace.jsonl"
     trace_path.write_text(trace_to_jsonl(merged_spans))
-    metrics_path = write_canonical_json(
-        out_dir / "crawl.metrics.json", metrics_state
-    )
-    records_path = write_canonical_json(
-        out_dir / "crawl.records.json", record_dicts
-    )
+    metrics_path = out_dir / "crawl.metrics.json"
+    metrics_path.write_text(canonical_dumps(metrics_state) + "\n")
+    records_path = out_dir / "crawl.records.json"
+    records_path.write_text(canonical_dumps(record_dicts) + "\n")
     ledger_path: Optional[Path] = None
     if merged_ledger is not None:
         ledger_path = out_dir / "crawl.ledger.jsonl"

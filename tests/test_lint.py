@@ -533,69 +533,6 @@ class TestContainerInComprehensionCondition:
 # -- OBS: observability exports --------------------------------------------
 
 
-class TestCanonicalJsonExport:
-    OBS_PATH = "src/repro/obs/snippet.py"
-
-    def test_dumps_without_sort_keys_flagged(self):
-        source = """
-            import json
-
-            def render(data):
-                return json.dumps(data)
-            """
-        assert rule_ids(source, path=self.OBS_PATH) == ["OBS001"]
-
-    def test_dump_without_sort_keys_flagged(self):
-        source = """
-            import json
-
-            def write(data, fh):
-                json.dump(data, fh, indent=2)
-            """
-        assert rule_ids(source, path=self.OBS_PATH) == ["OBS001"]
-
-    def test_sort_keys_false_flagged(self):
-        source = """
-            import json
-
-            def render(data):
-                return json.dumps(data, sort_keys=False)
-            """
-        assert rule_ids(source, path=self.OBS_PATH) == ["OBS001"]
-
-    def test_canonical_dumps_clean(self):
-        source = """
-            import json
-
-            def render(data):
-                return json.dumps(data, sort_keys=True, separators=(",", ":"))
-            """
-        assert rule_ids(source, path=self.OBS_PATH) == []
-
-    def test_kwargs_passthrough_not_flagged(self):
-        source = """
-            import json
-
-            def render(data, **kwargs):
-                return json.dumps(data, **kwargs)
-            """
-        assert rule_ids(source, path=self.OBS_PATH) == []
-
-    def test_rule_is_scoped_to_obs(self):
-        source = """
-            import json
-
-            def render(data):
-                return json.dumps(data)
-            """
-        assert rule_ids(source, path="src/repro/stats/snippet.py") == []
-
-    def test_obs_layer_is_clean(self):
-        obs_pkg = REPO_ROOT / "src" / "repro" / "obs"
-        report = run_lint([obs_pkg], root=REPO_ROOT)
-        assert report.new_findings == [], render_text(report)
-
-
 class TestSpanEndDiscipline:
     OBS_PATH = "src/repro/obs/snippet.py"
 
@@ -680,6 +617,11 @@ class TestSpanEndDiscipline:
                 tracer.start("visit")
             """
         assert rule_ids(source, path="src/repro/stats/snippet.py") == []
+
+    def test_obs_layer_is_clean(self):
+        obs_pkg = REPO_ROOT / "src" / "repro" / "obs"
+        report = run_lint([obs_pkg], root=REPO_ROOT)
+        assert report.new_findings == [], render_text(report)
 
 
 # -- suppressions ----------------------------------------------------------

@@ -1,15 +1,18 @@
 """Vectorised motor kernels vs their scalar golden references.
 
 The human-motor hot path (pointing, Bézier trajectories, typing rhythms,
-scroll cadences) is generated array-at-once; this suite asserts the
+scrollbar drags) is generated array-at-once; this suite asserts the
 byte-identity contract against :mod:`repro.models.scalar_reference` --
 same seed, same profile, same output, compared with ``==`` on the full
 timestamped structures -- plus the three motor-timing regression fixes
-and the batched dispatch path.
+and the trajectory dispatch path.  Wheel-scroll plans are generated per
+tick and have no scalar twin; golden sha256 pins hold them fixed.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,6 @@ from repro.models.scalar_reference import (
     ScalarHumanPointing,
     ScalarHumanScrolling,
     ScalarLognormalTypingRhythm,
-    ScalarScrollCadence,
     ScalarTypingRhythm,
     scalar_hlisa_path,
     scalar_naive_bezier_path,
@@ -128,20 +130,86 @@ class TestTypingEquivalence:
         assert TypingRhythm(np.random.default_rng(0)).plan("") == []
 
 
+#: First 16 hex digits of sha256(json.dumps([plan, rng.random()])) per
+#: distance, one per seed in SEEDS order: the plan plus the generator's
+#: next draw, so both the ticks and the draws consumed are pinned.
+CADENCE_PINS = {
+    57.0: (
+        "938553721ed0a9a5",
+        "1c6442d659351dd1",
+        "b0a6d9a576d2ffe1",
+        "36998c2526ffe16b",
+        "c565e8e3bb631776",
+    ),
+    120.0: (
+        "0e9ac4f0a1fa217c",
+        "977a87df460786ea",
+        "38347ba67d2ec8f9",
+        "2cb60820fb9f0a06",
+        "bbe668317b6543cb",
+    ),
+    -900.0: (
+        "c1f9d8ddc7cc2a9d",
+        "44ef8c00f0956cec",
+        "92469cb2c6ae8571",
+        "8f7d174aba9dc660",
+        "a5aed17bb67eb567",
+    ),
+    3000.0: (
+        "264986fc3c522442",
+        "711307d13efd9057",
+        "f67cfc70a8520bce",
+        "3d4d9014b6f1c3cb",
+        "6129ed1d88ada7dd",
+    ),
+    29999.5: (
+        "3cbfcd90d92693c4",
+        "0387992b40639a56",
+        "7e10af36bb7f0f2f",
+        "dbf0eced5802c3d6",
+        "12334a7d9aeb7c20",
+    ),
+}
+
+HUMAN_SCROLLING_PINS = {
+    57.0: CADENCE_PINS[57.0],
+    -400.0: (
+        "74ca606a91d138e6",
+        "971252e470d0e184",
+        "5a87214b74ecef8e",
+        "8091e215c9764c95",
+        "5f13f93d72bcc645",
+    ),
+    2500.0: (
+        "fef215cd1ef75c8c",
+        "1db8d03f1e9c5d3f",
+        "4433f0f67d02f591",
+        "2d72383e62ac80b8",
+        "b728ca3f4fead090",
+    ),
+}
+
+
+def _plan_pin(planner, rng, distance):
+    plan = planner.plan(distance)
+    payload = json.dumps([plan, rng.random()])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
 class TestScrollEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("distance", (57.0, 120.0, -900.0, 3000.0, 29999.5))
-    def test_cadence_matches_scalar_reference(self, seed, distance):
-        fast = ScrollCadence(np.random.default_rng(seed)).plan(distance)
-        slow = ScalarScrollCadence(np.random.default_rng(seed)).plan(distance)
-        assert fast == slow
+    @pytest.mark.parametrize("distance", list(CADENCE_PINS))
+    def test_cadence_matches_golden_pin(self, seed, distance):
+        rng = np.random.default_rng(seed)
+        pin = _plan_pin(ScrollCadence(rng), rng, distance)
+        assert pin == CADENCE_PINS[distance][SEEDS.index(seed)]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("distance", (57.0, -400.0, 2500.0))
-    def test_human_scrolling_matches_scalar_reference(self, seed, distance):
-        fast = HumanScrolling(rng=np.random.default_rng(seed)).plan(distance)
-        slow = ScalarHumanScrolling(rng=np.random.default_rng(seed)).plan(distance)
-        assert fast == slow
+    @pytest.mark.parametrize("distance", list(HUMAN_SCROLLING_PINS))
+    def test_human_scrolling_matches_golden_pin(self, seed, distance):
+        rng = np.random.default_rng(seed)
+        pin = _plan_pin(HumanScrolling(rng=rng), rng, distance)
+        assert pin == HUMAN_SCROLLING_PINS[distance][SEEDS.index(seed)]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_scrollbar_drag_matches_scalar_reference(self, seed):

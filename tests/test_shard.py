@@ -20,7 +20,7 @@ from repro.crawl import (
     SupervisorConfig,
     generate_population,
 )
-from repro.faults import DELAY_GRID_MS, BackoffPolicy, FaultPlan
+from repro.faults import DELAY_GRID_MS, BackoffPolicy, FaultPlan, FaultType
 from repro.obs.merge import MergeError, merge_metrics_states, merge_spans
 from repro.obs.span import Span
 from repro.shard import (
@@ -440,6 +440,37 @@ class TestInterruptResume:
         run_sharded(out, max_shards=1)
         with pytest.raises(ManifestError):
             run_sharded(out, shard_size=5)
+
+    @pytest.mark.parametrize(
+        "variant",
+        (
+            {"max_attempts_affected": 3},
+            {"fault_types": (FaultType.DRIVER_CRASH, FaultType.OOM_RESTART)},
+        ),
+        ids=("attempts", "types"),
+    )
+    def test_manifest_rejects_a_different_fault_schedule(self, tmp_path, variant):
+        spec = make_spec()
+        other = FaultPlan.generate(POPULATION, 3, rate=0.3, seed=11, **variant)
+        # Same seed, rate, size and keys: only the schedule tells them apart.
+        assert (other.seed, other.rate) == (spec.fault_plan.seed, spec.fault_plan.rate)
+        assert other.schedule.keys() == spec.fault_plan.schedule.keys()
+        assert other.schedule != spec.fault_plan.schedule
+        out = tmp_path / "sharded"
+        run_sharded(out, max_shards=1)
+        with pytest.raises(ManifestError):
+            run_sharded_crawl(
+                POPULATION,
+                out_dir=out,
+                crawler_name=spec.crawler_name,
+                seed=spec.seed,
+                instances=spec.instances,
+                with_extension=spec.with_extension,
+                config=spec.config,
+                fault_plan=other,
+                ledger=spec.ledger,
+                shard_size=7,
+            )
 
 
 class Crash(BaseException):
