@@ -49,7 +49,14 @@ flush costs what happened since the previous one, not the whole crawl:
 - **crawl end** -- the final flush replaces the journal with one
   version-2 snapshot of the whole crawl, the same bytes a single full
   rewrite produces, so the shard merge and its serial oracle read it
-  unchanged.
+  unchanged.  It is written one top-level field at a time, never as one
+  string holding the whole crawl.
+
+Every finished span, completed record and probe-ledger entry is
+encoded to its checkpoint JSON once, the first time a flush needs it
+(``checkpoint_json``); segments and snapshots splice those bytes
+(:mod:`repro.jsontext`) instead of encoding the crawl again.  Nothing
+is encoded unless the crawl has a checkpoint path.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ from repro.detection.fingerprint import _reference_navigator
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.recovery import BackoffPolicy, BreakerState, CircuitBreaker
 from repro.faults.types import FaultError
+from repro.jsontext import Encoded, encoded_list, encoded_object, object_chunks
 from repro.obs import CrawlReport, Tracer, build_report, write_trace
 from repro.obs.probes import ProbeLedger, write_ledger
 from repro.obs.tracer import NULL_TRACER
@@ -717,6 +725,7 @@ class CrawlSupervisor:
             data.get("crawler_name") != self.crawler.name
             or data.get("seed") != self.crawler.seed
             or data.get("instances") != self.crawler.instances
+            or ("ledger" in data) != (self.ledger is not None)
         ):
             raise ValueError(
                 f"checkpoint {path} belongs to a different crawl configuration"
@@ -795,10 +804,10 @@ class CrawlSupervisor:
             seed=self.crawler.seed,
             instances=self.crawler.instances,
             **self._state_fields(),
-            trace=self.tracer.state_dict(),
+            trace=self.tracer.state_json(),
             metrics=self.metrics.state_dict(),
-            records=[r.to_dict() for r in records],
-            ledger=self.ledger.state_dict() if self.ledger is not None else None,
+            records=encoded_list(r.checkpoint_json() for r in records),
+            ledger=self.ledger.state_json() if self.ledger is not None else None,
         )
         self._mark_journal()
 
@@ -806,13 +815,15 @@ class CrawlSupervisor:
         """Append what changed since the last flush as one journal line."""
         segment = {
             **self._state_fields(),
-            "trace": self.tracer.state_since(self._trace_mark),
+            "trace": self.tracer.state_json(self._trace_mark),
             "metrics": self.metrics.state_dict(),
-            "records": [r.to_dict() for r in self._journal_records],
+            "records": encoded_list(
+                r.checkpoint_json() for r in self._journal_records
+            ),
         }
         if self.ledger is not None:
-            segment["ledger"] = self.ledger.state_since(self._ledger_mark)
-        line = ("\n" + json.dumps(segment)).encode("ascii")
+            segment["ledger"] = self.ledger.state_json(self._ledger_mark)
+        line = b"\n" + encoded_object(segment.items()).data
         with open(path, "ab") as handle:
             # Cut a torn tail an interrupted append left behind.
             handle.truncate(self._journal_end)
@@ -830,19 +841,22 @@ def write_snapshot(
     clock_ms: float,
     stats: Dict[str, Any],
     browsers: List[Dict[str, int]],
-    trace: Dict[str, Any],
+    trace: Union[Dict[str, Any], Encoded, None],
     metrics: Dict[str, Any],
-    records: List[Dict[str, Any]],
-    ledger: Optional[Dict[str, Any]] = None,
+    records: Union[List[Dict[str, Any]], Encoded],
+    ledger: Union[Dict[str, Any], Encoded, None] = None,
 ) -> int:
     """Atomically write one version-2 checkpoint snapshot (tmp + replace)
     and return its length.
 
-    The dump is deliberately unsorted: key order is part of the format,
-    so the serial supervisor and the shard merge, which both write
-    snapshots through here, produce byte-comparable files.  ``ledger``
-    is written only when given: default-off checkpoints stay
-    byte-identical to pre-ledger ones.
+    The bytes are ``json.dumps`` of the payload, deliberately unsorted:
+    key order is part of the format, so the serial supervisor and the
+    shard merge, which both write snapshots through here, produce
+    byte-comparable files.  Each field is a JSON-safe value or its
+    already-encoded :class:`~repro.jsontext.Encoded` form, and is
+    written with one write of its own.  ``ledger`` is written only when
+    given: default-off checkpoints stay byte-identical to pre-ledger
+    ones.
     """
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -858,11 +872,13 @@ def write_snapshot(
     }
     if ledger is not None:
         payload["ledger"] = ledger
-    text = json.dumps(payload)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    length = 0
+    with open(tmp, "wb") as handle:
+        for chunk in object_chunks(payload.items()):
+            length += handle.write(b"".join(chunk))
     tmp.replace(path)
-    return len(text)
+    return length
 
 
 def _parse_journal(raw: bytes) -> Tuple[bytes, List[Dict[str, Any]], int]:

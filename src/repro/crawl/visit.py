@@ -40,6 +40,7 @@ from repro.dom.hostile import (
     install_hidden_input,
     install_overlay,
 )
+from repro.jsontext import dumps_ascii
 from repro.spoofing.extension import SpoofingExtension
 
 
@@ -151,6 +152,10 @@ class VisitRecord:
     attempts: int = 1
     #: Whether the visit succeeded only after at least one failed attempt.
     recovered: bool = False
+    #: :meth:`checkpoint_json`'s bytes, once a checkpoint needed them.
+    _json: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def first_party_errors(self) -> int:
         return sum(1 for r in self.responses if r.first_party and r.is_error)
@@ -186,6 +191,14 @@ class VisitRecord:
             "attempts": self.attempts,
             "recovered": self.recovered,
         }
+
+    def checkpoint_json(self) -> bytes:
+        """``json.dumps(self.to_dict())`` as bytes, encoded once: the
+        supervisor checkpoints a record only after the visit completed,
+        and a completed record never changes."""
+        if self._json is None:
+            self._json = dumps_ascii(self.to_dict())
+        return self._json
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "VisitRecord":

@@ -37,6 +37,7 @@ from repro.clock import VirtualClock
 from repro.jsobject.functions import JSFunction, NativeAccessor
 from repro.jsobject.jsobject import JSObject
 from repro.jsobject.proxy import JSProxy
+from repro.jsontext import Encoded, dumps_ascii, encoded_list, encoded_object
 
 #: Scope-label prefix marking one detector probe's accesses; the
 #: attribution tooling keys on it.
@@ -68,7 +69,9 @@ PROBE_ACCESS_BUCKETS: Tuple[float, ...] = (
 class LedgerEntry:
     """One fundamental operation observed on an instrumented object."""
 
-    __slots__ = ("entry_id", "ts_ms", "scope", "obj", "op", "key", "via", "detail")
+    __slots__ = (
+        "entry_id", "ts_ms", "scope", "obj", "op", "key", "via", "detail", "_json"
+    )
 
     def __init__(
         self,
@@ -95,6 +98,7 @@ class LedgerEntry:
         self.via = via
         #: JSON-safe operation payload (result keys, function name, ...).
         self.detail = detail
+        self._json: Optional[bytes] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -107,6 +111,13 @@ class LedgerEntry:
             "via": self.via,
             "detail": self.detail,
         }
+
+    def checkpoint_json(self) -> bytes:
+        """``json.dumps(self.to_dict())`` as bytes, encoded once: an entry
+        never changes after it is recorded."""
+        if self._json is None:
+            self._json = dumps_ascii(self.to_dict())
+        return self._json
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "LedgerEntry":
@@ -242,6 +253,22 @@ class ProbeLedger:
             "scopes": list(self._scope_stack),
             "entries": [entry.to_dict() for entry in self._entries[start:]],
         }
+
+    def state_json(self, start: int = 0) -> Encoded:
+        """``json.dumps(self.state_since(start))``, spliced from each
+        entry's once-encoded :meth:`LedgerEntry.checkpoint_json`."""
+        return encoded_object(
+            (
+                ("next_id", self._next_id),
+                ("scopes", self._scope_stack),
+                (
+                    "entries",
+                    encoded_list(
+                        entry.checkpoint_json() for entry in self._entries[start:]
+                    ),
+                ),
+            )
+        )
 
     def load_state(self, state: Dict[str, Any]) -> None:
         self._entries = []

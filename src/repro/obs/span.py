@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.jsontext import dumps_ascii
+
 #: Status of a span that completed without incident.
 STATUS_OK = "ok"
 
@@ -68,6 +70,7 @@ class Span:
         "events",
         "wall_ms",
         "_wall_start",
+        "_json",
     )
 
     def __init__(
@@ -94,6 +97,8 @@ class Span:
         #: runs.  ``to_dict_dual`` includes it for human inspection.
         self.wall_ms: Optional[float] = None
         self._wall_start: Optional[float] = None
+        #: :meth:`checkpoint_json`'s bytes, kept once the span finished.
+        self._json: Optional[bytes] = None
 
     @property
     def open(self) -> bool:
@@ -124,6 +129,22 @@ class Span:
             "attrs": self.attrs,
             "events": [e.to_dict() for e in self.events or []],
         }
+
+    def checkpoint_json(self) -> bytes:
+        """``json.dumps(self.to_dict())`` as bytes: the span in the crawl
+        checkpoint.
+
+        A finished span never changes again, so it is encoded once and
+        the bytes are kept; an open span is encoded afresh each time.
+        Whatever reopens a finished span must drop the kept bytes (see
+        :meth:`repro.obs.tracer.Tracer.resume_or_start`).
+        """
+        data = self._json
+        if data is None:
+            data = dumps_ascii(self.to_dict())
+            if self.end_ms is not None:
+                self._json = data
+        return data
 
     def to_dict_dual(self) -> Dict[str, Any]:
         """The canonical dict plus the wall-time delta (when recorded).

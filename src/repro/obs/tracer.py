@@ -10,7 +10,9 @@ Design constraints, in order:
    :meth:`Tracer.load_state` round-trip the full tracer (finished spans,
    the open-span stack, the id counter), :meth:`Tracer.state_since` /
    :meth:`Tracer.extend_state` carry only what changed since a
-   :meth:`Tracer.mark` (the checkpoint journal's segments), and
+   :meth:`Tracer.mark` (the checkpoint journal's segments),
+   :meth:`Tracer.state_json` encodes either by splicing each finished
+   span's once-encoded JSON, and
    :meth:`Tracer.resume_or_start` re-enters a checkpointed root span, so
    an interrupted-then-resumed crawl's trace equals an uninterrupted
    one's.
@@ -32,6 +34,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import VirtualClock
+from repro.jsontext import Encoded, encoded_list, encoded_object
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.span import Span
 
@@ -139,6 +142,7 @@ class Tracer:
             if span.parent_id == 0 and span.name == name:
                 if not span.open:
                     span.end_ms = None
+                    span._json = None
                     self._stack.insert(0, span)
                 return span
         return self.start(name, **attrs)
@@ -185,14 +189,39 @@ class Tracer:
         finished span never changes again, so :meth:`extend_state`
         rebuilds the full state from a snapshot plus these deltas.
         """
-        count, was_open = mark
-        done = [span for span in was_open if not span.open]
-        done += [span for span in self._spans[count:] if not span.open]
         return {
             "next_id": self._next_id,
             "open": [span.to_dict() for span in self._stack],
-            "spans": [span.to_dict() for span in done],
+            "spans": [span.to_dict() for span in self._finished_since(mark)],
         }
+
+    def state_json(
+        self, mark: Optional[Tuple[int, Tuple[Span, ...]]] = None
+    ) -> Encoded:
+        """``json.dumps`` of :meth:`state_dict` -- or, given a ``mark``,
+        of :meth:`state_since` -- spliced from each span's
+        :meth:`~repro.obs.span.Span.checkpoint_json`, so a finished span
+        is encoded once however many checkpoints carry it."""
+        if mark is None:
+            open_ = [span.span_id for span in self._stack]
+            spans = self._spans
+        else:
+            open_ = encoded_list(span.checkpoint_json() for span in self._stack)
+            spans = self._finished_since(mark)
+        return encoded_object(
+            (
+                ("next_id", self._next_id),
+                ("open", open_),
+                ("spans", encoded_list(span.checkpoint_json() for span in spans)),
+            )
+        )
+
+    def _finished_since(self, mark: Tuple[int, Tuple[Span, ...]]) -> List[Span]:
+        """Spans started after ``mark`` or open at it, finished since."""
+        count, was_open = mark
+        done = [span for span in was_open if not span.open]
+        done += [span for span in self._spans[count:] if not span.open]
+        return done
 
     def extend_state(self, delta: Dict[str, Any]) -> None:
         """Apply a :meth:`state_since` delta on top of the current state."""
@@ -264,6 +293,9 @@ class NullTracer:
 
     def state_since(self, mark: Any) -> None:
         return None
+
+    def state_json(self, mark: Any = None) -> Encoded:
+        return Encoded([b"null"])
 
     def extend_state(self, delta: Any) -> None:
         return None

@@ -30,7 +30,7 @@ from repro.canonical import canonical_dumps
 from repro.crawl.crawler import CrawlResult
 from repro.crawl.supervisor import SupervisorStats, write_snapshot
 from repro.crawl.visit import VisitRecord
-from repro.obs.export import trace_to_jsonl
+from repro.obs.export import write_trace
 from repro.obs.merge import (
     MergeError,
     merge_ledger_entries,
@@ -38,7 +38,7 @@ from repro.obs.merge import (
     merge_spans,
     shard_durations,
 )
-from repro.obs.probes import LedgerEntry, ledger_to_jsonl
+from repro.obs.probes import LedgerEntry, write_ledger
 from repro.obs.span import Span
 from repro.shard.plan import ShardPlan
 from repro.shard.worker import ShardRunSpec, shard_paths
@@ -162,16 +162,14 @@ def merge_shards(
         ledger=ledger_state,
     )
 
-    trace_path = out_dir / "crawl.trace.jsonl"
-    trace_path.write_text(trace_to_jsonl(merged_spans))
+    trace_path = write_trace(out_dir / "crawl.trace.jsonl", merged_spans)
     metrics_path = out_dir / "crawl.metrics.json"
     metrics_path.write_text(canonical_dumps(metrics_state) + "\n")
     records_path = out_dir / "crawl.records.json"
     records_path.write_text(canonical_dumps(record_dicts) + "\n")
     ledger_path: Optional[Path] = None
     if merged_ledger is not None:
-        ledger_path = out_dir / "crawl.ledger.jsonl"
-        ledger_path.write_text(ledger_to_jsonl(merged_ledger))
+        ledger_path = write_ledger(out_dir / "crawl.ledger.jsonl", merged_ledger)
 
     result = CrawlResult(
         crawler_name=spec.crawler_name,

@@ -3,7 +3,8 @@
 Canonical JSON (:mod:`repro.canonical`) is checked against literal
 ``json.dumps`` oracles; the version-2 checkpoint snapshot
 (:func:`repro.crawl.supervisor.write_snapshot`) against its fixed key
-order and its atomic write.
+order and its atomic write; the splicing it is written with
+(:mod:`repro.jsontext`) against ``json.dumps`` of the same value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.crawl.supervisor import (
     _parse_journal,
     write_snapshot,
 )
+from repro.jsontext import Encoded, dumps_ascii, encoded_list, encoded_object
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
@@ -139,3 +141,21 @@ class TestSnapshot:
         assert segments == []
         assert end == len(head) == path.stat().st_size
         assert json.loads(head)["records"] == SNAPSHOT_FIELDS["records"]
+
+
+class TestSplice:
+    @pytest.mark.parametrize(
+        "items",
+        [[], [1], [VALUE, "caf\u00e9 \"q\"", 0.1 + 0.2, 1e16, None]],
+        ids=["empty", "one", "mixed"],
+    )
+    def test_list_matches_json_dumps(self, items):
+        spliced = encoded_list(dumps_ascii(item) for item in items)
+        assert spliced.data == json.dumps(items).encode()
+
+    @pytest.mark.parametrize("value", [{}, VALUE], ids=["empty", "nested"])
+    def test_object_matches_json_dumps(self, value):
+        # Values may be plain, or already encoded at any depth.
+        fields = [(key, Encoded([dumps_ascii(item)])) for key, item in value.items()]
+        assert encoded_object(fields).data == json.dumps(value).encode()
+        assert encoded_object(value.items()).data == json.dumps(value).encode()

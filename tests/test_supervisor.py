@@ -5,11 +5,13 @@ import hashlib
 import io
 import itertools
 import json
+from dataclasses import asdict
 
 import pytest
 
 import repro.crawl.supervisor as supervisor_module
 
+from repro.clock import VirtualClock
 from repro.crawl import (
     CrawlSupervisor,
     FailureReason,
@@ -23,7 +25,11 @@ from repro.crawl import (
     visit_coverage,
 )
 from repro.faults import BackoffPolicy, FaultPlan, FaultType
-from repro.crawl.supervisor import _parse_journal
+from repro.crawl.supervisor import CHECKPOINT_VERSION, _parse_journal
+from repro.crawl.visit import VisitRecord
+from repro.obs import Tracer
+from repro.obs.probes import LedgerEntry, ProbeLedger
+from repro.obs.span import Span
 from repro.spoofing import SpoofingExtension
 
 
@@ -44,14 +50,21 @@ def small_population(n=60, seed=3):
     )
 
 
-def make_supervisor(plan=None, config=None, seed=7, instances=4, extension="spoof"):
+def make_supervisor(
+    plan=None, config=None, seed=7, instances=4, extension="spoof", ledger=False
+):
     crawler = OpenWPMCrawler(
         "supervised",
         extension=SpoofingExtension() if extension == "spoof" else None,
         instances=instances,
         seed=seed,
     )
-    return CrawlSupervisor(crawler, config=config, plan=plan)
+    return CrawlSupervisor(
+        crawler,
+        config=config,
+        plan=plan,
+        probe_ledger=ProbeLedger() if ledger else None,
+    )
 
 
 class TestDeterminism:
@@ -126,6 +139,28 @@ class TestCheckpointResume:
         make_supervisor(seed=7).crawl(population, checkpoint_path=checkpoint)
         with pytest.raises(ValueError):
             make_supervisor(seed=8).crawl(population, checkpoint_path=checkpoint)
+
+    @pytest.mark.parametrize(
+        "written, resumed",
+        [(False, True), (True, False)],
+        ids=["ledger-off-checkpoint", "ledger-on-checkpoint"],
+    )
+    def test_checkpoint_of_the_other_ledger_setting_rejected(
+        self, tmp_path, written, resumed
+    ):
+        """Regression: a ledger-on resume of a ledger-off checkpoint
+        exported only the entries recorded after the cut, and a
+        ledger-off resume dropped ``ledger`` from the crawl-end
+        checkpoint; both were silently accepted."""
+        population = small_population(n=24)
+        checkpoint = tmp_path / "crawl.json"
+        make_supervisor(instances=2, ledger=written).crawl(
+            population[:12], checkpoint_path=checkpoint
+        )
+        with pytest.raises(ValueError, match="different crawl configuration"):
+            make_supervisor(instances=2, ledger=resumed).crawl(
+                population, checkpoint_path=checkpoint
+            )
 
     def test_interrupt_at_every_site_boundary_is_byte_identical(self, tmp_path):
         """Result AND trace must match the uninterrupted run for every cut."""
@@ -406,6 +441,185 @@ class TestJournal:
             before_end.append(written[0] - checkpoint.stat().st_size)
         assert before_end[0] > 0
         assert before_end[1] <= 2.2 * before_end[0], before_end
+
+
+def journal_state(supervisor):
+    """The constant-size fields every head and segment carries."""
+    return {
+        "clock_ms": supervisor.clock.now(),
+        "stats": asdict(supervisor.stats),
+        "browsers": [instance.state_dict() for instance in supervisor._instances],
+    }
+
+
+class TestSpliceWriter:
+    """Segments and snapshots are spliced from once-encoded spans,
+    records and ledger entries.  Every segment line and every snapshot
+    must still equal ``json.dumps`` of the dict forms, built here."""
+
+    POPULATION = small_population(n=12)
+
+    def fresh(self, ledger=False, tracer=None, name="supervised"):
+        crawler = OpenWPMCrawler(
+            name, extension=SpoofingExtension(), instances=2, seed=5
+        )
+        return CrawlSupervisor(
+            crawler,
+            config=SupervisorConfig(checkpoint_every_sites=2),
+            plan=FaultPlan.generate(self.POPULATION, 2, rate=0.25, seed=5),
+            tracer=tracer,
+            probe_ledger=ProbeLedger() if ledger else None,
+        )
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Check every flush against the oracle; lists what was checked."""
+        checked = []
+        real_append = CrawlSupervisor._append_segment
+        real_write = CrawlSupervisor._write_checkpoint
+
+        def append(supervisor, path):
+            segment = {
+                **journal_state(supervisor),
+                "trace": supervisor.tracer.state_since(supervisor._trace_mark),
+                "metrics": supervisor.metrics.state_dict(),
+                "records": [r.to_dict() for r in supervisor._journal_records],
+            }
+            if supervisor.ledger is not None:
+                segment["ledger"] = supervisor.ledger.state_since(
+                    supervisor._ledger_mark
+                )
+            kept = path.read_bytes()[: supervisor._journal_end]
+            real_append(supervisor, path)
+            line = ("\n" + json.dumps(segment)).encode()
+            assert path.read_bytes() == kept + line
+            checked.append("segment")
+
+        def write(supervisor, path, records):
+            payload = {
+                "version": CHECKPOINT_VERSION,
+                "crawler_name": supervisor.crawler.name,
+                "seed": supervisor.crawler.seed,
+                "instances": supervisor.crawler.instances,
+                **journal_state(supervisor),
+                "trace": supervisor.tracer.state_dict(),
+                "metrics": supervisor.metrics.state_dict(),
+                "records": [r.to_dict() for r in records],
+            }
+            if supervisor.ledger is not None:
+                payload["ledger"] = supervisor.ledger.state_dict()
+            real_write(supervisor, path, records)
+            assert path.read_bytes() == json.dumps(payload).encode()
+            checked.append("snapshot")
+
+        monkeypatch.setattr(CrawlSupervisor, "_append_segment", append)
+        monkeypatch.setattr(CrawlSupervisor, "_write_checkpoint", write)
+        return checked
+
+    def test_fresh_crawl(self, tmp_path, checked):
+        self.fresh().crawl(self.POPULATION, checkpoint_path=tmp_path / "ck.json")
+        assert checked.count("segment") >= 4
+        assert checked[0] == checked[-1] == "snapshot"
+
+    @pytest.mark.parametrize("ledger", [False, True], ids=["no-ledger", "ledger"])
+    def test_interrupted_and_resumed_crawl(
+        self, tmp_path, monkeypatch, checked, ledger
+    ):
+        checkpoint = tmp_path / "ck.json"
+        with monkeypatch.context() as patch:
+            crash_after(patch, 11)
+            with pytest.raises(Crash):
+                self.fresh(ledger).crawl(self.POPULATION, checkpoint_path=checkpoint)
+        assert "segment" in checked
+        del checked[:]
+        resumed = self.fresh(ledger)
+        resumed.crawl(self.POPULATION, checkpoint_path=checkpoint)
+        assert "segment" in checked and checked[-1] == "snapshot"
+        assert resumed.stats.resumed > 0
+        if ledger:
+            assert len(resumed.ledger) > 0
+
+    def test_second_crawl_reopens_the_closed_root(self, tmp_path, checked):
+        """A new checkpoint path keeps the in-memory spans, so the root the
+        first crawl-end snapshot closed (and encoded) is reopened and
+        must not be written with its stale end."""
+        supervisor = self.fresh(ledger=True)
+        supervisor.crawl(self.POPULATION[:6], checkpoint_path=tmp_path / "a.json")
+        root = supervisor.tracer.spans[0]
+        closed_at = root.end_ms
+        supervisor.crawl(self.POPULATION, checkpoint_path=tmp_path / "b.json")
+        assert root.end_ms > closed_at
+        assert checked.count("snapshot") == 4
+
+    def test_attrs_with_non_ascii_quotes_and_floats(self, tmp_path, checked):
+        """A finished span from before the crawl carries the odd values."""
+        tracer = Tracer(VirtualClock())
+        odd = {"text": 'caf\u00e9 "quoted" \\ \u2603', "sum": 0.1 + 0.2, "big": 1e16}
+        span = tracer.start("setup", **odd)
+        tracer.event("note", small=1e-7, **odd)
+        tracer.end(span)
+        checkpoint = tmp_path / "ck.json"
+        self.fresh(tracer=tracer, name='cr\u00e4wler "q"').crawl(
+            self.POPULATION, checkpoint_path=checkpoint
+        )
+        raw = checkpoint.read_bytes()
+        assert raw.isascii()
+        assert b"0.30000000000000004" in raw and b"1e+16" in raw
+        assert json.loads(raw)["trace"]["spans"][0]["attrs"] == odd
+        assert checked.count("segment") >= 4
+
+
+class TestEncodeOnce:
+    """Checkpoint encode work is a count, not a timing: each finished
+    span, record and ledger entry is encoded once however often the
+    crawl flushes, plus the open root span at each mid-crawl flush."""
+
+    POPULATION = small_population(n=24)
+
+    def crawl(self, monkeypatch, checkpoint, every=25):
+        calls = {Span: 0, VisitRecord: 0, LedgerEntry: 0, "flush": 0}
+
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for cls in (Span, VisitRecord, LedgerEntry):
+            monkeypatch.setattr(cls, "to_dict", counted(cls, cls.to_dict))
+        for name in ("_append_segment", "_write_checkpoint"):
+            real = getattr(CrawlSupervisor, name)
+            monkeypatch.setattr(CrawlSupervisor, name, counted("flush", real))
+        supervisor = make_supervisor(
+            FaultPlan.generate(self.POPULATION, 2, rate=0.1, seed=3),
+            config=SupervisorConfig(checkpoint_every_sites=every),
+            instances=2,
+            ledger=True,
+        )
+        result = supervisor.crawl(self.POPULATION, checkpoint_path=checkpoint)
+        assert len(result.records) == len(self.POPULATION) * 2
+        sizes = {
+            Span: len(supervisor.tracer.spans),
+            VisitRecord: len(result.records),
+            LedgerEntry: len(supervisor.ledger),
+        }
+        return calls, sizes
+
+    @pytest.mark.parametrize("every", [2, 50])
+    def test_one_encode_per_item(self, tmp_path, monkeypatch, every):
+        calls, sizes = self.crawl(monkeypatch, tmp_path / "ck.json", every)
+        flushes = calls["flush"]
+        mid_crawl = len(self.POPULATION) // every
+        assert flushes == mid_crawl + 1
+        assert calls[VisitRecord] == sizes[VisitRecord]
+        assert calls[LedgerEntry] == sizes[LedgerEntry] > 0
+        # The crawl-end flush finds the root closed: its one cached encode.
+        assert calls[Span] == sizes[Span] + flushes - 1
+
+    def test_no_checkpoint_path_encodes_nothing(self, monkeypatch):
+        calls, _ = self.crawl(monkeypatch, None)
+        assert calls == {Span: 0, VisitRecord: 0, LedgerEntry: 0, "flush": 0}
 
 
 class TestFailureTaxonomy:
