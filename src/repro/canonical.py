@@ -10,8 +10,10 @@ on dict insertion order.  Both forms sort keys:
   people read.
 
 Neither adds a trailing newline; each caller keeps its own choice.  The
-version-2 crawl checkpoint is *not* canonical (its key order is part of
-the format): see :func:`repro.crawl.supervisor.write_snapshot`.
+version-3 crawl checkpoint is compact canonical JSON too, so a span's,
+record's or ledger entry's checkpoint bytes are also its export line:
+see :mod:`repro.jsontext` and
+:func:`repro.crawl.supervisor.write_snapshot`.
 """
 
 from __future__ import annotations

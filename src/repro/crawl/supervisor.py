@@ -34,7 +34,7 @@ resumption.
 The checkpoint file is a journal of newline-separated JSON lines, so a
 flush costs what happened since the previous one, not the whole crawl:
 
-- **head** -- the first line, a full version-2 snapshot.  The first
+- **head** -- the first line, a full version-3 snapshot.  The first
   flush of a fresh crawl writes it (atomically, via a temporary file);
   a resumed crawl takes whatever snapshot is already on disk as its
   head.
@@ -47,21 +47,25 @@ flush costs what happened since the previous one, not the whole crawl:
   that does not parse.  Resume drops it, and the next append truncates
   the file back to the last whole line before writing.
 - **crawl end** -- the final flush replaces the journal with one
-  version-2 snapshot of the whole crawl, the same bytes a single full
+  version-3 snapshot of the whole crawl, the same bytes a single full
   rewrite produces, so the shard merge and its serial oracle read it
   unchanged.  It is written one top-level field at a time, never as one
   string holding the whole crawl.
 
-Every finished span, completed record and probe-ledger entry is
-encoded to its checkpoint JSON once, the first time a flush needs it
-(``checkpoint_json``); segments and snapshots splice those bytes
-(:mod:`repro.jsontext`) instead of encoding the crawl again.  Nothing
-is encoded unless the crawl has a checkpoint path.
+Every line is canonical JSON (:func:`repro.canonical.canonical_dumps`:
+sorted keys, ``","``/``":"`` separators), the form of the trace and
+ledger exports.  So every finished span, completed record and
+probe-ledger entry is encoded once, the first time a flush needs it
+(``checkpoint_json``), and those bytes are its item in every segment
+and snapshot (spliced, :mod:`repro.jsontext`) and its line in the trace
+or ledger export.  Resume reads each line with
+:func:`repro.jsontext.read_object`, and the items it loads keep their
+bytes, so they are never encoded again.  Nothing is encoded for the
+checkpoint unless the crawl has a checkpoint path.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -86,19 +90,35 @@ from repro.detection.fingerprint import _reference_navigator
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.recovery import BackoffPolicy, BreakerState, CircuitBreaker
 from repro.faults.types import FaultError
-from repro.jsontext import Encoded, encoded_list, encoded_object, object_chunks
+from repro.jsontext import (
+    Encoded,
+    encoded_list,
+    encoded_object,
+    object_chunks,
+    read_object,
+)
 from repro.obs import CrawlReport, Tracer, build_report, write_trace
 from repro.obs.probes import ProbeLedger, write_ledger
 from repro.obs.tracer import NULL_TRACER
 
-#: Version 2 adds the ``trace`` and ``metrics`` fields that carry the
-#: observability state across interruptions.  The optional ``ledger``
-#: field (present only when the supervisor was built with a probe
-#: ledger) rides within version 2: default-off checkpoints are unchanged.
-#: The version lives in the journal's head, a version-2 snapshot;
-#: segments are deltas on top of it, and the crawl-end checkpoint is a
-#: plain version-2 snapshot again (see the module docstring).
-CHECKPOINT_VERSION = 2
+#: Version 3 writes every line in canonical JSON (sorted keys, minimal
+#: separators), so an item's checkpoint bytes are also its export line;
+#: version 2 (``json.dumps``' default form) is refused, not converted.
+#: The ``trace`` and ``metrics`` fields carry the observability state
+#: across interruptions; the ``ledger`` field is present only when the
+#: supervisor was built with a probe ledger.  The version lives in the
+#: journal's head, a snapshot; segments are deltas on top of it, and the
+#: crawl-end checkpoint is a plain snapshot again (see the module
+#: docstring).
+CHECKPOINT_VERSION = 3
+
+#: The item lists of a snapshot or segment whose bytes a reader keeps
+#: (see :func:`repro.jsontext.read_object`).
+CHECKPOINT_ITEMS = {
+    "records": "records",
+    "trace": {"spans": "spans"},
+    "ledger": {"entries": "entries"},
+}
 
 #: Sub-stream tags keeping visit and jitter draws on disjoint streams.
 _VISIT_STREAM = 0x51
@@ -718,9 +738,7 @@ class CrawlSupervisor:
             self._mark_journal()
             return completed
         head, segments, self._journal_end = _parse_journal(path.read_bytes())
-        data = json.loads(head)
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
+        data, items = read_snapshot(head, path)
         if (
             data.get("crawler_name") != self.crawler.name
             or data.get("seed") != self.crawler.seed
@@ -730,9 +748,8 @@ class CrawlSupervisor:
             raise ValueError(
                 f"checkpoint {path} belongs to a different crawl configuration"
             )
-        latest = self._replay_journal(data, segments)
-        for record_data in data["records"]:
-            record = VisitRecord.from_dict(record_data)
+        latest = self._replay_journal(data, items, segments)
+        for record in map(VisitRecord.from_dict, data["records"], items["records"]):
             completed[(record.domain, record.visit_index)] = record
         # Advance the one shared clock in place.  The tracer, breakers
         # and any collaborator wired before resume hold *references* to
@@ -758,26 +775,31 @@ class CrawlSupervisor:
         return completed
 
     def _replay_journal(
-        self, head: Dict[str, Any], segments: List[Dict[str, Any]]
+        self,
+        head: Dict[str, Any],
+        items: Dict[str, List[bytes]],
+        segments: List[Tuple[Dict[str, Any], Dict[str, List[bytes]]]],
     ) -> Dict[str, Any]:
         """Restore the tracer and ledger from the head plus every
-        segment, and fold the segments' records into ``head``.
+        segment, and fold the segments' records (and their bytes) into
+        ``head`` (and ``items``).
 
         Returns the line holding the latest constant-size state (clock,
         stats, browsers, metrics): the last segment, or the head.
         """
         ledger = self.ledger
         if head.get("trace") is not None:
-            self.tracer.load_state(head["trace"])
+            self.tracer.load_state(head["trace"], items["spans"])
         if ledger is not None and head.get("ledger") is not None:
-            ledger.load_state(head["ledger"])
-        for segment in segments:
+            ledger.load_state(head["ledger"], items["entries"])
+        for segment, kept in segments:
             head["records"].extend(segment["records"])
+            items["records"].extend(kept["records"])
             if segment["trace"] is not None:
-                self.tracer.extend_state(segment["trace"])
+                self.tracer.extend_state(segment["trace"], kept["spans"])
             if ledger is not None and segment.get("ledger") is not None:
-                ledger.extend_state(segment["ledger"])
-        return segments[-1] if segments else head
+                ledger.extend_state(segment["ledger"], kept["entries"])
+        return segments[-1][0] if segments else head
 
     def _mark_journal(self) -> None:
         """Start the next segment here: nothing since is on disk yet."""
@@ -846,17 +868,15 @@ def write_snapshot(
     records: Union[List[Dict[str, Any]], Encoded],
     ledger: Union[Dict[str, Any], Encoded, None] = None,
 ) -> int:
-    """Atomically write one version-2 checkpoint snapshot (tmp + replace)
+    """Atomically write one version-3 checkpoint snapshot (tmp + replace)
     and return its length.
 
-    The bytes are ``json.dumps`` of the payload, deliberately unsorted:
-    key order is part of the format, so the serial supervisor and the
-    shard merge, which both write snapshots through here, produce
-    byte-comparable files.  Each field is a JSON-safe value or its
-    already-encoded :class:`~repro.jsontext.Encoded` form, and is
-    written with one write of its own.  ``ledger`` is written only when
-    given: default-off checkpoints stay byte-identical to pre-ledger
-    ones.
+    The bytes are ``canonical_dumps`` of the payload, so the serial
+    supervisor and the shard merge, which both write snapshots through
+    here, produce byte-comparable files.  Each field is a JSON-safe
+    value or its already-encoded :class:`~repro.jsontext.Encoded` form,
+    and is written with one write of its own.  ``ledger`` is written
+    only when given: a ledger-off checkpoint has no such key.
     """
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -881,9 +901,31 @@ def write_snapshot(
     return length
 
 
-def _parse_journal(raw: bytes) -> Tuple[bytes, List[Dict[str, Any]], int]:
+def read_snapshot(
+    raw: bytes, path: Path
+) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+    """Parse one checkpoint snapshot (a journal head, or a crawl-end
+    checkpoint read as a whole) and keep its items' bytes.
+
+    Returns :func:`repro.jsontext.read_object`'s ``(payload, items)``.
+    Raises ``ValueError`` naming ``path`` when the bytes do not parse
+    (an empty or truncated file) or the version is not this one's.
+    """
+    try:
+        data, items = read_object(raw, CHECKPOINT_ITEMS)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} is corrupt at line 1: {exc}") from None
+    if data.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version in {path}")
+    return data, items
+
+
+def _parse_journal(
+    raw: bytes,
+) -> Tuple[bytes, List[Tuple[Dict[str, Any], Dict[str, List[bytes]]]], int]:
     """Split checkpoint-journal bytes into the head line and the parsed
-    segments.
+    segments, each with its items' bytes (:func:`repro.jsontext.
+    read_object`).
 
     Returns ``(head, segments, end)`` where ``end`` is the byte length of
     the intact journal.  A last line that does not parse is a torn
@@ -891,11 +933,11 @@ def _parse_journal(raw: bytes) -> Tuple[bytes, List[Dict[str, Any]], int]:
     corruption.
     """
     head, *lines = raw.split(b"\n")
-    segments: List[Dict[str, Any]] = []
+    segments: List[Tuple[Dict[str, Any], Dict[str, List[bytes]]]] = []
     end = len(head)
     for number, line in enumerate(lines, start=1):
         try:
-            segments.append(json.loads(line))
+            segments.append(read_object(line, CHECKPOINT_ITEMS))
         except ValueError:
             if number == len(lines):
                 break

@@ -193,17 +193,21 @@ class VisitRecord:
         }
 
     def checkpoint_json(self) -> bytes:
-        """``json.dumps(self.to_dict())`` as bytes, encoded once: the
-        supervisor checkpoints a record only after the visit completed,
-        and a completed record never changes."""
+        """``canonical_dumps(self.to_dict())`` as bytes, encoded once and
+        kept: the supervisor checkpoints a record only after the visit
+        completed, and a completed record never changes."""
         if self._json is None:
             self._json = dumps_ascii(self.to_dict())
         return self._json
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "VisitRecord":
+    def from_dict(
+        cls, data: Dict[str, Any], encoded: Optional[bytes] = None
+    ) -> "VisitRecord":
+        """The record ``data`` describes; ``encoded`` is its checkpoint
+        bytes, kept so it is never encoded again."""
         screenshot = data.get("screenshot")
-        return cls(
+        record = cls(
             domain=data["domain"],
             rank=data["rank"],
             visit_index=data["visit_index"],
@@ -215,6 +219,8 @@ class VisitRecord:
             attempts=data.get("attempts", 1),
             recovered=data.get("recovered", False),
         )
+        record._json = encoded
+        return record
 
 
 def _run_site_detector(

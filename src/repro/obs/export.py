@@ -25,14 +25,24 @@ def span_to_json(span: Span, dual: bool = False) -> str:
     Dual output is for human inspection only: wall deltas are machine
     noise, so everything byte-compared across runs uses the default.
     """
-    data = span.to_dict_dual() if dual else span.to_dict()
-    return canonical_dumps(data)
+    if dual:
+        return canonical_dumps(span.to_dict_dual())
+    return span.to_json().decode("ascii")
+
+
+def _trace_bytes(spans: Iterable[Span], dual: bool) -> bytes:
+    """The canonical JSONL trace; a checkpointed span's line is its kept
+    checkpoint bytes (the same canonical form), not a fresh encode."""
+    if dual:
+        lines = [canonical_dumps(span.to_dict_dual()).encode() for span in spans]
+    else:
+        lines = [span.to_json() for span in spans]
+    return b"\n".join(lines) + b"\n" if lines else b""
 
 
 def trace_to_jsonl(spans: Iterable[Span], dual: bool = False) -> str:
     """The whole trace as canonical JSONL (trailing newline included)."""
-    lines = [span_to_json(span, dual=dual) for span in spans]
-    return "\n".join(lines) + "\n" if lines else ""
+    return _trace_bytes(spans, dual).decode("ascii")
 
 
 def write_trace(
@@ -40,7 +50,7 @@ def write_trace(
 ) -> Path:
     """Write a JSONL trace file; returns the path written."""
     path = Path(path)
-    path.write_text(trace_to_jsonl(spans, dual=dual))
+    path.write_bytes(_trace_bytes(spans, dual))
     return path
 
 

@@ -32,7 +32,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.canonical import canonical_dumps
 from repro.clock import VirtualClock
 from repro.jsobject.functions import JSFunction, NativeAccessor
 from repro.jsobject.jsobject import JSObject
@@ -113,15 +112,24 @@ class LedgerEntry:
         }
 
     def checkpoint_json(self) -> bytes:
-        """``json.dumps(self.to_dict())`` as bytes, encoded once: an entry
-        never changes after it is recorded."""
+        """``canonical_dumps(self.to_dict())`` as bytes, encoded once and
+        kept: an entry never changes after it is recorded."""
         if self._json is None:
             self._json = dumps_ascii(self.to_dict())
         return self._json
 
+    def to_json(self) -> bytes:
+        """The same bytes as :meth:`checkpoint_json`, without keeping
+        a fresh encode."""
+        return self._json or dumps_ascii(self.to_dict())
+
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "LedgerEntry":
-        return cls(
+    def from_dict(
+        cls, data: Dict[str, Any], encoded: Optional[bytes] = None
+    ) -> "LedgerEntry":
+        """The entry ``data`` describes; ``encoded`` is its checkpoint
+        bytes, kept so it is never encoded again."""
+        entry = cls(
             entry_id=int(data["entry_id"]),
             ts_ms=float(data["ts_ms"]),
             scope=str(data["scope"]),
@@ -131,6 +139,8 @@ class LedgerEntry:
             via=data.get("via"),
             detail=data.get("detail"),
         )
+        entry._json = encoded
+        return entry
 
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, LedgerEntry) and self.to_dict() == other.to_dict()
@@ -255,7 +265,7 @@ class ProbeLedger:
         }
 
     def state_json(self, start: int = 0) -> Encoded:
-        """``json.dumps(self.state_since(start))``, spliced from each
+        """``canonical_dumps(self.state_since(start))``, spliced from each
         entry's once-encoded :meth:`LedgerEntry.checkpoint_json`."""
         return encoded_object(
             (
@@ -270,32 +280,42 @@ class ProbeLedger:
             )
         )
 
-    def load_state(self, state: Dict[str, Any]) -> None:
+    def load_state(
+        self, state: Dict[str, Any], encoded: Optional[List[bytes]] = None
+    ) -> None:
         self._entries = []
-        self.extend_state(state)
+        self.extend_state(state, encoded)
 
-    def extend_state(self, delta: Dict[str, Any]) -> None:
-        """Apply a :meth:`state_since` delta on top of the current state."""
+    def extend_state(
+        self, delta: Dict[str, Any], encoded: Optional[List[bytes]] = None
+    ) -> None:
+        """Apply a :meth:`state_since` delta on top of the current state.
+
+        ``encoded`` holds each entry's checkpoint bytes, in order (see
+        :func:`repro.jsontext.read_object`); the entries keep them.
+        """
         self._next_id = int(delta.get("next_id", 1))
         self._scope_stack = [str(s) for s in delta.get("scopes", [])]
         self._scope_str = "/".join(self._scope_stack)
+        entries = delta.get("entries", [])
         self._entries.extend(
-            LedgerEntry.from_dict(data) for data in delta.get("entries", [])
+            map(LedgerEntry.from_dict, entries, encoded or [None] * len(entries))
         )
 
 
 # -- canonical JSONL export ---------------------------------------------------
 
 
-def entry_to_json(entry: LedgerEntry) -> str:
-    """One entry as a canonical single-line JSON object."""
-    return canonical_dumps(entry.to_dict())
+def _ledger_bytes(entries: Iterable[LedgerEntry]) -> bytes:
+    """The canonical JSONL ledger; a checkpointed entry's line is its
+    kept checkpoint bytes (the same canonical form)."""
+    lines = [entry.to_json() for entry in entries]
+    return b"\n".join(lines) + b"\n" if lines else b""
 
 
 def ledger_to_jsonl(entries: Iterable[LedgerEntry]) -> str:
     """The whole ledger as canonical JSONL (trailing newline included)."""
-    lines = [entry_to_json(entry) for entry in entries]
-    return "\n".join(lines) + "\n" if lines else ""
+    return _ledger_bytes(entries).decode("ascii")
 
 
 def write_ledger(
@@ -304,7 +324,7 @@ def write_ledger(
     """Write a JSONL ledger file; returns the path written."""
     entries = ledger.entries if isinstance(ledger, ProbeLedger) else ledger
     path = Path(path)
-    path.write_text(ledger_to_jsonl(entries))
+    path.write_bytes(_ledger_bytes(entries))
     return path
 
 

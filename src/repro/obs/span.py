@@ -131,8 +131,8 @@ class Span:
         }
 
     def checkpoint_json(self) -> bytes:
-        """``json.dumps(self.to_dict())`` as bytes: the span in the crawl
-        checkpoint.
+        """``canonical_dumps(self.to_dict())`` as bytes: the span in the
+        crawl checkpoint and its line in the trace export.
 
         A finished span never changes again, so it is encoded once and
         the bytes are kept; an open span is encoded afresh each time.
@@ -146,6 +146,12 @@ class Span:
                 self._json = data
         return data
 
+    def to_json(self) -> bytes:
+        """The same bytes as :meth:`checkpoint_json`, without keeping
+        them: the kept bytes when a checkpoint has them, else a fresh
+        encode (so an export without a checkpoint keeps no memory)."""
+        return self._json or dumps_ascii(self.to_dict())
+
     def to_dict_dual(self) -> Dict[str, Any]:
         """The canonical dict plus the wall-time delta (when recorded).
 
@@ -158,7 +164,12 @@ class Span:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Span":
+    def from_dict(
+        cls, data: Dict[str, Any], encoded: Optional[bytes] = None
+    ) -> "Span":
+        """The span ``data`` describes; ``encoded`` is its checkpoint
+        bytes, kept when the span is finished so it is never encoded
+        again."""
         span = cls(
             int(data["span_id"]),
             int(data["parent_id"]),
@@ -175,6 +186,8 @@ class Span:
         wall_ms = data.get("wall_ms")
         if wall_ms is not None:
             span.wall_ms = float(wall_ms)
+        if span.end_ms is not None:
+            span._json = encoded
         return span
 
     def __eq__(self, other: object) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import VirtualClock
@@ -169,9 +169,16 @@ class Tracer:
             "spans": [span.to_dict() for span in self._spans],
         }
 
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Replace the tracer's contents with a checkpointed snapshot."""
-        self._spans = [Span.from_dict(d) for d in state["spans"]]
+    def load_state(
+        self, state: Dict[str, Any], encoded: Optional[List[bytes]] = None
+    ) -> None:
+        """Replace the tracer's contents with a checkpointed snapshot.
+
+        ``encoded`` holds each span's checkpoint bytes, in order (see
+        :func:`repro.jsontext.read_object`); finished spans keep them.
+        """
+        data = state["spans"]
+        self._spans = list(map(Span.from_dict, data, encoded or [None] * len(data)))
         by_id = {span.span_id: span for span in self._spans}
         self._stack = [by_id[span_id] for span_id in state["open"]]
         self._next_id = int(state["next_id"])
@@ -198,8 +205,8 @@ class Tracer:
     def state_json(
         self, mark: Optional[Tuple[int, Tuple[Span, ...]]] = None
     ) -> Encoded:
-        """``json.dumps`` of :meth:`state_dict` -- or, given a ``mark``,
-        of :meth:`state_since` -- spliced from each span's
+        """``canonical_dumps`` of :meth:`state_dict` -- or, given a
+        ``mark``, of :meth:`state_since` -- spliced from each span's
         :meth:`~repro.obs.span.Span.checkpoint_json`, so a finished span
         is encoded once however many checkpoints carry it."""
         if mark is None:
@@ -223,8 +230,14 @@ class Tracer:
         done += [span for span in self._spans[count:] if not span.open]
         return done
 
-    def extend_state(self, delta: Dict[str, Any]) -> None:
-        """Apply a :meth:`state_since` delta on top of the current state."""
+    def extend_state(
+        self, delta: Dict[str, Any], encoded: Optional[List[bytes]] = None
+    ) -> None:
+        """Apply a :meth:`state_since` delta on top of the current state.
+
+        ``encoded`` holds the checkpoint bytes of each of the delta's
+        finished spans, in order; those spans keep them.
+        """
         spans = self._spans
 
         def index_of(span_id: int) -> int:
@@ -233,9 +246,13 @@ class Tracer:
                 raise ValueError(f"delta names unknown span {span_id}")
             return index
 
-        changed = sorted(delta["spans"] + delta["open"], key=itemgetter("span_id"))
-        for data in changed:
-            span = Span.from_dict(data)
+        finished = delta["spans"]
+        changed = [
+            *map(Span.from_dict, finished, encoded or [None] * len(finished)),
+            *map(Span.from_dict, delta["open"]),
+        ]
+        changed.sort(key=attrgetter("span_id"))
+        for span in changed:
             if spans and span.span_id <= spans[-1].span_id:
                 spans[index_of(span.span_id)] = span
             else:

@@ -33,7 +33,11 @@ from repro.shard.plan import ShardPlan
 from repro.shard.state import FaultLogEntry
 from repro.shard.worker import ShardRunSpec
 
-MANIFEST_VERSION = 1
+#: Version 2: the shard checkpoints beside the manifest are checkpoint
+#: version 3 (canonical JSON).  A version-1 directory holds version-2
+#: shard checkpoints, which the merge cannot read, so it is refused here,
+#: before any shard runs.
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 

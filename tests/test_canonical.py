@@ -1,10 +1,11 @@
-"""The two serialisation formats, each defined in one place.
+"""Canonical JSON, defined in one place, and the checkpoint built on it.
 
 Canonical JSON (:mod:`repro.canonical`) is checked against literal
-``json.dumps`` oracles; the version-2 checkpoint snapshot
-(:func:`repro.crawl.supervisor.write_snapshot`) against its fixed key
-order and its atomic write; the splicing it is written with
-(:mod:`repro.jsontext`) against ``json.dumps`` of the same value.
+``json.dumps`` oracles; the version-3 checkpoint snapshot
+(:func:`repro.crawl.supervisor.write_snapshot`) against
+``canonical_dumps`` of its payload and its atomic write; the splicing it
+is written with and the reader it is read back with
+(:mod:`repro.jsontext`) against ``canonical_dumps`` of the same value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from repro.crawl.supervisor import (
     _parse_journal,
     write_snapshot,
 )
-from repro.jsontext import Encoded, dumps_ascii, encoded_list, encoded_object
+from repro.jsontext import (
+    Encoded,
+    dumps_ascii,
+    encoded_list,
+    encoded_object,
+    read_object,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
@@ -107,30 +114,37 @@ SNAPSHOT_KEYS = [
 
 
 class TestSnapshot:
-    def test_key_order_is_the_format(self, tmp_path):
+    def test_snapshot_is_canonical_json_of_its_payload(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        # Keyword order of the call must not matter, only the format's.
+        # Keyword order of the call must not matter: keys are sorted.
         fields = dict(reversed(list(SNAPSHOT_FIELDS.items())))
         length = write_snapshot(path, **fields)
         raw = path.read_bytes()
         assert length == len(raw)
         assert not raw.endswith(b"\n")
         data = json.loads(raw)
-        assert list(data) == SNAPSHOT_KEYS
-        assert data["version"] == CHECKPOINT_VERSION
-        assert raw.decode() == json.dumps(
+        assert list(data) == sorted(SNAPSHOT_KEYS)
+        assert data["version"] == CHECKPOINT_VERSION == 3
+        assert raw.decode() == canonical_dumps(
             {"version": CHECKPOINT_VERSION, **SNAPSHOT_FIELDS}
         )
 
-    def test_ledger_is_written_last_and_only_when_given(self, tmp_path):
+    def test_ledger_is_written_only_when_given(self, tmp_path):
         without = tmp_path / "without.json"
         with_ledger = tmp_path / "with.json"
         write_snapshot(without, **SNAPSHOT_FIELDS)
         write_snapshot(with_ledger, ledger={"entries": [1]}, **SNAPSHOT_FIELDS)
         assert "ledger" not in json.loads(without.read_bytes())
-        assert list(json.loads(with_ledger.read_bytes())) == SNAPSHOT_KEYS + [
-            "ledger"
-        ]
+        assert list(json.loads(with_ledger.read_bytes())) == sorted(
+            SNAPSHOT_KEYS + ["ledger"]
+        )
+        assert with_ledger.read_text() == canonical_dumps(
+            {
+                "version": CHECKPOINT_VERSION,
+                "ledger": {"entries": [1]},
+                **SNAPSHOT_FIELDS,
+            }
+        )
 
     def test_replaces_atomically_and_reads_back_as_a_journal_head(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -149,13 +163,69 @@ class TestSplice:
         [[], [1], [VALUE, "caf\u00e9 \"q\"", 0.1 + 0.2, 1e16, None]],
         ids=["empty", "one", "mixed"],
     )
-    def test_list_matches_json_dumps(self, items):
+    def test_list_matches_canonical_dumps(self, items):
         spliced = encoded_list(dumps_ascii(item) for item in items)
-        assert spliced.data == json.dumps(items).encode()
+        assert spliced.data == canonical_dumps(items).encode()
 
     @pytest.mark.parametrize("value", [{}, VALUE], ids=["empty", "nested"])
-    def test_object_matches_json_dumps(self, value):
-        # Values may be plain, or already encoded at any depth.
+    def test_object_matches_canonical_dumps(self, value):
+        # Values may be plain, or already encoded at any depth; the
+        # fields arrive in insertion order and leave sorted.
         fields = [(key, Encoded([dumps_ascii(item)])) for key, item in value.items()]
-        assert encoded_object(fields).data == json.dumps(value).encode()
-        assert encoded_object(value.items()).data == json.dumps(value).encode()
+        assert encoded_object(fields).data == canonical_dumps(value).encode()
+        assert encoded_object(value.items()).data == canonical_dumps(value).encode()
+
+
+ODD_ITEMS = [
+    [[1, [2, [3, []]]], [], {"k": []}],
+    [],
+    ["caf\u00e9 \u2603", {"\u00fc": "\u00df"}],
+    ['say "hi"', "back\\slash", "tab\t and \n newline", "\\\"", ""],
+    [0.1 + 0.2, 1e16, 1e-7, -0.0, 3, -17, 2.5, None, True, False],
+    [{"b": [1.5, {"d": None, "c": "x"}], "a": {}}, {}],
+]
+LISTS = {"records": "records", "trace": {"spans": "spans"}}
+
+
+class TestReader:
+    """:func:`repro.jsontext.read_object` returns each kept item's bytes,
+    and in canonical text each is ``canonical_dumps`` of its value."""
+
+    @pytest.mark.parametrize(
+        "items",
+        ODD_ITEMS,
+        ids=["nested-lists", "empty", "non-ascii", "quotes-backslashes",
+             "numbers", "objects"],
+    )
+    def test_every_slice_is_canonical_dumps_of_its_value(self, items):
+        value = {"version": 3, "records": items, "trace": {"spans": items[::-1]}}
+        raw = canonical_dumps(value).encode()
+        obj, kept = read_object(raw, LISTS)
+        assert obj == json.loads(raw)
+        assert list(kept) == ["records", "spans"]
+        assert kept["records"] == [canonical_dumps(v).encode() for v in items]
+        assert kept["spans"] == [canonical_dumps(v).encode() for v in items[::-1]]
+        for data, parsed in zip(kept["records"], obj["records"]):
+            assert data == canonical_dumps(parsed).encode()
+
+    def test_other_forms_parse_and_lists_elsewhere_are_not_kept(self):
+        value = {"trace": None, "other": {"records": [1]}, "records": [[1, 2], {}]}
+        # json.dumps' default separators: the version-2 checkpoint form.
+        raw = json.dumps(value).encode()
+        obj, kept = read_object(raw, LISTS)
+        assert obj == value
+        assert kept == {"records": [b"[1, 2]", b"{}"]}
+        obj, kept = read_object(b" " + json.dumps(value, indent=1).encode(), LISTS)
+        assert obj == value and len(kept["records"]) == 2
+        # A repeated key keeps the last value, as json.loads does.
+        obj, kept = read_object(b'{"records":[1,2],"records":[3]}', LISTS)
+        assert obj == {"records": [3]} and kept == {"records": [b"3"]}
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b" ", b"{", b'{"records": [1,', b'{"a": 1}x', b"[1]", b'{"a" 1}',
+         b'{"\xc3\xa9": 1}', b'{"a": 1,}'],
+    )
+    def test_anything_but_one_object_is_a_value_error(self, raw):
+        with pytest.raises(ValueError):
+            read_object(raw, LISTS)

@@ -441,6 +441,22 @@ class TestInterruptResume:
         with pytest.raises(ManifestError):
             run_sharded(out, shard_size=5)
 
+    def test_manifest_of_the_older_checkpoint_format_is_refused(self, tmp_path):
+        """A version-1 directory holds version-2 shard checkpoints: refused
+        before any shard runs, not in the merge after all of them."""
+        out = tmp_path / "sharded"
+        run_sharded(out, max_shards=1)
+        manifest = out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        assert data["version"] == 2
+        data["version"] = 1
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(ManifestError, match="unsupported manifest version"):
+            run_sharded(out)
+        assert sorted(p.name for p in out.glob("*.ckpt.json")) == [
+            "shard-0000.ckpt.json"
+        ]
+
     @pytest.mark.parametrize(
         "variant",
         (

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -24,6 +25,7 @@ from repro.crawl import (
     generate_population,
     visit_coverage,
 )
+from repro.canonical import canonical_dumps
 from repro.faults import BackoffPolicy, FaultPlan, FaultType
 from repro.crawl.supervisor import CHECKPOINT_VERSION, _parse_journal
 from repro.crawl.visit import VisitRecord
@@ -231,12 +233,14 @@ class TestCheckpointResume:
         population = small_population(n=24)
         checkpoint = tmp_path / "crawl.json"
         sup = make_supervisor(FaultPlan.generate(population, 4, rate=0.1, seed=2))
-        sup.crawl(population, checkpoint_path=checkpoint)
-        data = json.loads(checkpoint.read_text())
-        assert data["version"] == 2
+        result = sup.crawl(population, checkpoint_path=checkpoint)
+        raw = checkpoint.read_bytes()
+        data = json.loads(raw)
+        assert data["version"] == CHECKPOINT_VERSION == 3
         assert len(data["trace"]["spans"]) == len(sup.tracer.spans)
         assert data["metrics"] == sup.metrics.state_dict()
         assert len(data["browsers"]) == 4
+        assert raw == canonical_dumps(snapshot_payload(sup, result.records)).encode()
 
 
 class Crash(BaseException):
@@ -271,6 +275,32 @@ def count_attempts(monkeypatch):
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def journal_state(supervisor):
+    """The constant-size fields every head and segment carries."""
+    return {
+        "clock_ms": supervisor.clock.now(),
+        "stats": asdict(supervisor.stats),
+        "browsers": [instance.state_dict() for instance in supervisor._instances],
+    }
+
+
+def snapshot_payload(supervisor, records):
+    """A checkpoint snapshot's payload, built from the dict forms."""
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "crawler_name": supervisor.crawler.name,
+        "seed": supervisor.crawler.seed,
+        "instances": supervisor.crawler.instances,
+        **journal_state(supervisor),
+        "trace": supervisor.tracer.state_dict(),
+        "metrics": supervisor.metrics.state_dict(),
+        "records": [r.to_dict() for r in records],
+    }
+    if supervisor.ledger is not None:
+        payload["ledger"] = supervisor.ledger.state_dict()
+    return payload
 
 
 class TestJournal:
@@ -394,11 +424,53 @@ class TestJournal:
         with pytest.raises(ValueError):
             self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
 
-    def test_crawl_end_rewrites_the_journal_as_one_snapshot(self, tmp_path):
+    @pytest.mark.parametrize("cut", ["empty", "first-byte", "half", "one-short"])
+    def test_empty_or_truncated_head_is_corrupt(self, tmp_path, cut):
         checkpoint = tmp_path / "crawl.json"
         self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
-        assert b"\n" not in checkpoint.read_bytes()
-        assert json.loads(checkpoint.read_text())["version"] == 2
+        raw = checkpoint.read_bytes()
+        keep = {"empty": 0, "first-byte": 1, "half": len(raw) // 2}.get(
+            cut, len(raw) - 1
+        )
+        checkpoint.write_bytes(raw[:keep])
+        with pytest.raises(
+            ValueError,
+            match=f"^checkpoint {re.escape(str(checkpoint))} is corrupt at line 1",
+        ):
+            self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+
+    def test_truncated_head_before_intact_segments_is_corrupt(
+        self, tmp_path, monkeypatch, expected
+    ):
+        data, head = self.journal(tmp_path, monkeypatch, self.attempts // 2)
+        checkpoint = tmp_path / "corrupt.json"
+        checkpoint.write_bytes(head[: len(head) // 2] + data[len(head):])
+        with pytest.raises(ValueError, match="is corrupt at line 1"):
+            self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+
+    def test_version_2_head_is_refused(self, tmp_path):
+        """A version-2 snapshot (``json.dumps``' default form, its fixed
+        key order) parses, and is refused by its version."""
+        checkpoint = tmp_path / "crawl.json"
+        self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+        data = json.loads(checkpoint.read_bytes())
+        data["version"] = 2
+        keys = ["version", "crawler_name", "seed", "instances", "clock_ms",
+                "stats", "browsers", "trace", "metrics", "records"]
+        checkpoint.write_text(json.dumps({key: data[key] for key in keys}))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            self.fresh().crawl(self.POPULATION, checkpoint_path=checkpoint)
+
+    def test_crawl_end_rewrites_the_journal_as_one_snapshot(self, tmp_path):
+        checkpoint = tmp_path / "crawl.json"
+        supervisor = self.fresh()
+        result = supervisor.crawl(self.POPULATION, checkpoint_path=checkpoint)
+        raw = checkpoint.read_bytes()
+        assert b"\n" not in raw
+        assert json.loads(raw)["version"] == CHECKPOINT_VERSION == 3
+        assert raw == canonical_dumps(
+            snapshot_payload(supervisor, result.records)
+        ).encode()
 
     def test_persistence_bytes_grow_linearly(self, tmp_path, monkeypatch):
         """Bytes written before the crawl-end snapshot at 2N sites are at
@@ -443,19 +515,11 @@ class TestJournal:
         assert before_end[1] <= 2.2 * before_end[0], before_end
 
 
-def journal_state(supervisor):
-    """The constant-size fields every head and segment carries."""
-    return {
-        "clock_ms": supervisor.clock.now(),
-        "stats": asdict(supervisor.stats),
-        "browsers": [instance.state_dict() for instance in supervisor._instances],
-    }
-
-
 class TestSpliceWriter:
     """Segments and snapshots are spliced from once-encoded spans,
     records and ledger entries.  Every segment line and every snapshot
-    must still equal ``json.dumps`` of the dict forms, built here."""
+    must equal ``canonical_dumps`` of the dict forms, built here: the
+    version-3 format."""
 
     POPULATION = small_population(n=12)
 
@@ -491,25 +555,14 @@ class TestSpliceWriter:
                 )
             kept = path.read_bytes()[: supervisor._journal_end]
             real_append(supervisor, path)
-            line = ("\n" + json.dumps(segment)).encode()
+            line = ("\n" + canonical_dumps(segment)).encode()
             assert path.read_bytes() == kept + line
             checked.append("segment")
 
         def write(supervisor, path, records):
-            payload = {
-                "version": CHECKPOINT_VERSION,
-                "crawler_name": supervisor.crawler.name,
-                "seed": supervisor.crawler.seed,
-                "instances": supervisor.crawler.instances,
-                **journal_state(supervisor),
-                "trace": supervisor.tracer.state_dict(),
-                "metrics": supervisor.metrics.state_dict(),
-                "records": [r.to_dict() for r in records],
-            }
-            if supervisor.ledger is not None:
-                payload["ledger"] = supervisor.ledger.state_dict()
+            payload = snapshot_payload(supervisor, records)
             real_write(supervisor, path, records)
-            assert path.read_bytes() == json.dumps(payload).encode()
+            assert path.read_bytes() == canonical_dumps(payload).encode()
             checked.append("snapshot")
 
         monkeypatch.setattr(CrawlSupervisor, "_append_segment", append)
@@ -551,6 +604,19 @@ class TestSpliceWriter:
         assert root.end_ms > closed_at
         assert checked.count("snapshot") == 4
 
+    def test_resume_from_a_crawl_end_snapshot_reopens_the_loaded_root(
+        self, tmp_path, checked
+    ):
+        """The loaded root was closed, with its bytes kept; resuming over
+        a grown population reopens it, and it must not be written with
+        its stale end."""
+        checkpoint = tmp_path / "ck.json"
+        self.fresh(ledger=True).crawl(self.POPULATION[:6], checkpoint_path=checkpoint)
+        resumed = self.fresh(ledger=True)
+        resumed.crawl(self.POPULATION, checkpoint_path=checkpoint)
+        assert resumed.stats.resumed == 6 * 2
+        assert checked[-1] == "snapshot" and "segment" in checked
+
     def test_attrs_with_non_ascii_quotes_and_floats(self, tmp_path, checked):
         """A finished span from before the crawl carries the odd values."""
         tracer = Tracer(VirtualClock())
@@ -572,11 +638,21 @@ class TestSpliceWriter:
 class TestEncodeOnce:
     """Checkpoint encode work is a count, not a timing: each finished
     span, record and ledger entry is encoded once however often the
-    crawl flushes, plus the open root span at each mid-crawl flush."""
+    crawl flushes, plus the open root span at each mid-crawl flush.
+    The trace and ledger exports, resume and the shard merge add no
+    encode of an item that already has its bytes."""
 
     POPULATION = small_population(n=24)
 
-    def crawl(self, monkeypatch, checkpoint, every=25):
+    def supervisor(self, every=25):
+        return make_supervisor(
+            FaultPlan.generate(self.POPULATION, 2, rate=0.1, seed=3),
+            config=SupervisorConfig(checkpoint_every_sites=every),
+            instances=2,
+            ledger=True,
+        )
+
+    def crawl(self, monkeypatch, checkpoint, every=25, trace_path=None):
         calls = {Span: 0, VisitRecord: 0, LedgerEntry: 0, "flush": 0}
 
         def counted(key, real):
@@ -591,13 +667,10 @@ class TestEncodeOnce:
         for name in ("_append_segment", "_write_checkpoint"):
             real = getattr(CrawlSupervisor, name)
             monkeypatch.setattr(CrawlSupervisor, name, counted("flush", real))
-        supervisor = make_supervisor(
-            FaultPlan.generate(self.POPULATION, 2, rate=0.1, seed=3),
-            config=SupervisorConfig(checkpoint_every_sites=every),
-            instances=2,
-            ledger=True,
+        supervisor = self.supervisor(every)
+        result = supervisor.crawl(
+            self.POPULATION, checkpoint_path=checkpoint, trace_path=trace_path
         )
-        result = supervisor.crawl(self.POPULATION, checkpoint_path=checkpoint)
         assert len(result.records) == len(self.POPULATION) * 2
         sizes = {
             Span: len(supervisor.tracer.spans),
@@ -620,6 +693,110 @@ class TestEncodeOnce:
     def test_no_checkpoint_path_encodes_nothing(self, monkeypatch):
         calls, _ = self.crawl(monkeypatch, None)
         assert calls == {Span: 0, VisitRecord: 0, LedgerEntry: 0, "flush": 0}
+
+    def test_trace_export_reuses_the_checkpoint_bytes(self, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.jsonl"
+        calls, sizes = self.crawl(monkeypatch, tmp_path / "ck.json", trace_path=trace)
+        assert calls["flush"] == 1
+        assert calls[Span] == sizes[Span] == len(trace.read_bytes().splitlines())
+
+    def test_resume_encodes_nothing_it_loaded(self, tmp_path, monkeypatch):
+        checkpoint = tmp_path / "ck.json"
+        with monkeypatch.context() as patch:
+            crash_after(patch, 20)
+            with pytest.raises(Crash):
+                self.supervisor(every=2).crawl(
+                    self.POPULATION, checkpoint_path=checkpoint
+                )
+        assert len(_parse_journal(checkpoint.read_bytes())[1]) >= 2
+        loaded = {Span: [], VisitRecord: [], LedgerEntry: []}
+        encoded = set()
+        for cls in loaded:
+            real_from_dict, real_to_dict = cls.from_dict, cls.to_dict
+
+            def from_dict(cls, data, raw=None, _real=real_from_dict):
+                item = _real(data, raw)
+                # An open span (the root) is encoded afresh at each flush.
+                if getattr(item, "end_ms", 0.0) is not None:
+                    loaded[cls].append(item)
+                return item
+
+            def to_dict(item, _real=real_to_dict):
+                encoded.add(id(item))
+                return _real(item)
+
+            monkeypatch.setattr(cls, "from_dict", classmethod(from_dict))
+            monkeypatch.setattr(cls, "to_dict", to_dict)
+        supervisor = self.supervisor(every=2)
+        supervisor.crawl(
+            self.POPULATION,
+            checkpoint_path=checkpoint,
+            trace_path=tmp_path / "trace.jsonl",
+            ledger_path=tmp_path / "ledger.jsonl",
+        )
+        assert len(loaded[VisitRecord]) == supervisor.stats.resumed > 0
+        assert len(loaded[Span]) > len(loaded[VisitRecord])
+        assert len(loaded[LedgerEntry]) > 0
+        for cls, items in loaded.items():
+            assert all(item._json is not None for item in items), cls.__name__
+            assert not encoded & {id(item) for item in items}, cls.__name__
+
+    def test_merge_splices_records_and_encodes_each_span_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.shard.executor as executor_module
+        from repro.shard import run_sharded_crawl
+
+        calls = {Span: 0, VisitRecord: 0, LedgerEntry: 0}
+        merging = []
+        for cls in calls:
+            real = cls.to_dict
+
+            def to_dict(item, _real=real, _cls=cls):
+                if merging:
+                    calls[_cls] += 1
+                return _real(item)
+
+            monkeypatch.setattr(cls, "to_dict", to_dict)
+        real_merge = executor_module.merge_shards
+
+        def merge(*args):
+            merging.append(True)
+            try:
+                return real_merge(*args)
+            finally:
+                merging.clear()
+
+        monkeypatch.setattr(executor_module, "merge_shards", merge)
+        outcome = run_sharded_crawl(
+            self.POPULATION,
+            out_dir=tmp_path,
+            crawler_name="supervised",
+            seed=7,
+            instances=2,
+            fault_plan=FaultPlan.generate(self.POPULATION, 2, rate=0.1, seed=3),
+            ledger=True,
+            shard_size=8,
+            jobs=1,
+        )
+        artifacts = outcome.artifacts
+        assert calls[VisitRecord] == 0
+        assert calls[Span] == len(artifacts.trace.read_bytes().splitlines()) > 0
+        assert calls[LedgerEntry] == len(artifacts.ledger.read_bytes().splitlines())
+
+    def test_export_without_checkpoint_keeps_no_bytes(self, tmp_path):
+        supervisor = self.supervisor()
+        trace, ledger = tmp_path / "trace.jsonl", tmp_path / "ledger.jsonl"
+        supervisor.crawl(self.POPULATION, trace_path=trace, ledger_path=ledger)
+        spans, entries = supervisor.tracer.spans, supervisor.ledger.entries
+        assert all(span._json is None for span in spans)
+        assert all(entry._json is None for entry in entries)
+        assert trace.read_text() == "".join(
+            canonical_dumps(span.to_dict()) + "\n" for span in spans
+        )
+        assert ledger.read_text() == "".join(
+            canonical_dumps(entry.to_dict()) + "\n" for entry in entries
+        )
 
 
 class TestFailureTaxonomy:
